@@ -16,13 +16,12 @@ from .analysis import (
     render_csv,
     render_markdown,
 )
-from .circuit import Circuit, Register, RegisterLayout, new_circuit
+from .circuit import Circuit, Register, RegisterLayout
 from .gates import CNOT, FREDKIN, SWAP, TOFFOLI, Gate, cnot, fredkin, swap, toffoli
 from .io import NetlistError, export_qasm, metrics_json, parse_netlist, write_netlist
 from .metrics import Metrics, asap_depth, staged_delay, structural_metrics
 from .sim import (
     VerifyReport,
-    apply_gate,
     oracle_multiply,
     oracle_rotate_right,
     pack_state,
@@ -59,7 +58,6 @@ __all__ = [
     "VerifyReport",
     "ancilla_rows",
     "addnop_layout",
-    "apply_gate",
     "asap_depth",
     "build_addnop",
     "build_controlled_ror",
@@ -75,7 +73,6 @@ __all__ = [
     "improvement_percent",
     "metrics_json",
     "multiplier_layout",
-    "new_circuit",
     "oracle_multiply",
     "oracle_rotate_right",
     "pack_state",

@@ -263,23 +263,3 @@ def render_csv(rows, which: str) -> str:
         raise ValueError(f"unknown table kind {which!r}")
     return out.getvalue()
 
-
-# Asymptotic comparison against the four recursive Karatsuba variants of
-# Portugal and Figueiredo; cited rows only, none of them is implemented here.
-KARATSUBA_ASYMPTOTICS = (
-    ("K(1)", "O(n^log2(3))", "6n", "O(n)"),
-    ("K(2)", "O(n^log2(6))", "4n", "O(n^log2(6))"),
-    ("K(3)", "O(n^log2(3))", "5n + n/2 + 1", "O(n^log2(3))"),
-    ("K(4)", "O(n^log2(6))", "3n + n/2", "O(n^log2(6))"),
-)
-
-
-def asymptotics_markdown() -> str:
-    """Static Karatsuba comparison table, with our row from the closed forms."""
-    lines = [
-        "| Design | Gate count | Ancilla inputs | Delay |",
-        "|---|---|---|---|",
-    ]
-    for row in KARATSUBA_ASYMPTOTICS + (("ours", "O(n^2)", "2n + 1", "O(n^2)"),):
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines) + "\n"

@@ -166,9 +166,6 @@ class Circuit:
 
     @property
     def stage_count(self) -> int:
-        return len(self.stages())
-
-
-def new_circuit(layout: RegisterLayout) -> Circuit:
-    """Empty circuit over a validated layout."""
-    return Circuit(layout)
+        # the marked stages, plus one per gate after the last mark
+        unmarked = len(self.gates) - (self.stage_marks[-1] if self.stage_marks else 0)
+        return len(self.stage_marks) + unmarked

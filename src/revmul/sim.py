@@ -2,7 +2,9 @@
 
 Simulation is restricted to classical basis states: every supported gate
 permutes them, so bit-level execution is exact and exhaustive sweeps over all
-inputs are cheap at small widths.
+inputs are cheap at small widths. `run` is the only way into the gate kernel,
+and both verifiers share one sweep, `_sweep`; each verifier adds only its size
+limit, its cases and the check of one case.
 """
 
 import itertools
@@ -10,32 +12,11 @@ import random
 from dataclasses import dataclass, field
 
 from .circuit import Circuit, RegisterLayout
-from .gates import CNOT, FREDKIN, SWAP, TOFFOLI, Gate
+from .gates import FREDKIN, SWAP, TOFFOLI
 from .synth import build_controlled_ror, build_multiplier, build_ror, multiplier_layout
 
 MAX_COUNTEREXAMPLES = 16
 EXHAUSTIVE_ROTATE_LIMIT = 20  # 2^20 states; beyond that use randomized mode
-
-
-def _apply(bits: list[int], gate: Gate) -> None:
-    kind = gate.kind
-    ln = gate.lines
-    if kind == TOFFOLI:
-        bits[ln[2]] ^= bits[ln[0]] & bits[ln[1]]
-    elif kind == FREDKIN:
-        if bits[ln[0]]:
-            bits[ln[1]], bits[ln[2]] = bits[ln[2]], bits[ln[1]]
-    elif kind == SWAP:
-        bits[ln[0]], bits[ln[1]] = bits[ln[1]], bits[ln[0]]
-    else:  # CNOT
-        bits[ln[1]] ^= bits[ln[0]]
-
-
-def apply_gate(state: list[int], gate: Gate) -> list[int]:
-    """Result of one gate on a basis state (the input list is not modified)."""
-    out = list(state)
-    _apply(out, gate)
-    return out
 
 
 def run(circuit: Circuit, state: list[int], trace: bool = False):
@@ -47,16 +28,23 @@ def run(circuit: Circuit, state: list[int], trace: bool = False):
     if len(state) != circuit.width:
         raise ValueError(f"state has {len(state)} bits, circuit width is {circuit.width}")
     bits = list(state)
-    if not trace:
-        for gate in circuit.gates:
-            _apply(bits, gate)
-        return bits
     snapshots = []
-    for stage in circuit.stages():
+    for stage in circuit.stages() if trace else (circuit.gates,):
         for gate in stage:
-            _apply(bits, gate)
-        snapshots.append(list(bits))
-    return bits, snapshots
+            kind = gate.kind
+            ln = gate.lines
+            if kind == TOFFOLI:
+                bits[ln[2]] ^= bits[ln[0]] & bits[ln[1]]
+            elif kind == FREDKIN:
+                if bits[ln[0]]:
+                    bits[ln[1]], bits[ln[2]] = bits[ln[2]], bits[ln[1]]
+            elif kind == SWAP:
+                bits[ln[0]], bits[ln[1]] = bits[ln[1]], bits[ln[0]]
+            else:  # CNOT
+                bits[ln[1]] ^= bits[ln[0]]
+        if trace:
+            snapshots.append(list(bits))
+    return (bits, snapshots) if trace else bits
 
 
 def pack_state(layout: RegisterLayout, values: dict[str, int]) -> list[int]:
@@ -146,7 +134,31 @@ class VerifyReport:
     garbage_outputs: int | None = None
 
 
-def _finish(report: VerifyReport) -> VerifyReport:
+def _sweep(mode, count, seed, too_big, build, every, draw, check) -> VerifyReport:
+    """Check the arguments, `build()` the circuit, then `check(circuit, case)`
+    each case of `every()`, or of `draw(rng)` for `count` seeded draws. A
+    failing case yields a counterexample; the first 16 are kept."""
+    if mode == "exhaustive":
+        if too_big:
+            raise ValueError(too_big)
+        report = VerifyReport(ok=False, checked=0, mode=mode)
+    elif mode == "random":
+        if count < 1:
+            raise ValueError(f"random mode needs a positive count, got {count}")
+        report = VerifyReport(ok=False, checked=0, mode=mode, seed=seed)
+    else:
+        raise ValueError(f"unknown verification mode {mode!r}")
+    circuit = build()
+    if mode == "exhaustive":
+        cases = every()
+    else:
+        rng = random.Random(seed)
+        cases = (case for _ in range(count) for case in draw(rng))
+    for case in cases:
+        report.checked += 1
+        counterexample = check(circuit, case)
+        if counterexample is not None and len(report.counterexamples) < MAX_COUNTEREXAMPLES:
+            report.counterexamples.append(counterexample)
     report.ok = not report.counterexamples
     report.garbage_outputs = 0 if report.ok else None
     return report
@@ -166,36 +178,30 @@ def verify_multiplier(
     behavioral oracle is cross-checked on the same pairs. Exhaustive mode
     sweeps all 2^(2n) pairs and is limited to n <= 6; random mode draws
     `count` seeded pairs. Pass `circuit` to point the harness at a
-    replacement netlist (for example a deliberately damaged one).
+    replacement netlist (for example a deliberately damaged one) over the
+    n-bit multiplier's layout.
     """
-    if mode == "exhaustive":
-        if n > 6:
-            raise ValueError("exhaustive verification is limited to n <= 6")
-        pairs = itertools.product(range(1 << n), repeat=2)
-        report = VerifyReport(ok=False, checked=0, mode=mode)
-    elif mode == "random":
-        if count < 1:
-            raise ValueError(f"random mode needs a positive count, got {count}")
-        rng = random.Random(seed)
-        pairs = ((rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(count))
-        report = VerifyReport(ok=False, checked=0, mode=mode, seed=seed)
-    else:
-        raise ValueError(f"unknown verification mode {mode!r}")
+    if circuit is not None and circuit.layout != multiplier_layout(n):
+        raise ValueError(f"circuit layout {circuit.layout!r} is not the n={n} multiplier's")
 
-    if circuit is None:
-        circuit = build_multiplier(n)
-    layout = circuit.layout
-    for a, b in pairs:
-        report.checked += 1
-        out = run(circuit, pack_state(layout, {"A": a, "B": b}))
-        got = {name: register_value(layout, out, name) for name in ("P", "A", "B", "Zcin")}
+    def check(circuit, pair):
+        a, b = pair
+        out = run(circuit, pack_state(circuit.layout, {"A": a, "B": b}))
+        got = {name: register_value(circuit.layout, out, name) for name in ("P", "A", "B", "Zcin")}
         expected = {"P": a * b, "A": a, "B": b, "Zcin": 0}
         if got != expected or oracle_multiply(n, a, b) != a * b:
-            if len(report.counterexamples) < MAX_COUNTEREXAMPLES:
-                report.counterexamples.append(
-                    {"a": a, "b": b, "expected": expected, "got": got}
-                )
-    return _finish(report)
+            return {"a": a, "b": b, "expected": expected, "got": got}
+
+    return _sweep(
+        mode,
+        count,
+        seed,
+        "exhaustive verification is limited to n <= 6" if n > 6 else None,
+        lambda: build_multiplier(n) if circuit is None else circuit,
+        lambda: itertools.product(range(1 << n), repeat=2),
+        lambda rng: [(rng.randrange(1 << n), rng.randrange(1 << n))],
+        check,
+    )
 
 
 def verify_rotate(
@@ -211,36 +217,29 @@ def verify_rotate(
     controlled variant must equal it when the control is 1 and the identity
     when it is 0, with the control line itself preserved.
     """
-    circuit = build_controlled_ror(width) if controlled else build_ror(width)
-    if mode == "exhaustive":
-        if width > EXHAUSTIVE_ROTATE_LIMIT:
-            raise ValueError(
-                f"exhaustive rotate verification is limited to width <= {EXHAUSTIVE_ROTATE_LIMIT}"
-            )
-        values = range(1 << width)
-        report = VerifyReport(ok=False, checked=0, mode=mode)
-    elif mode == "random":
-        if count < 1:
-            raise ValueError(f"random mode needs a positive count, got {count}")
-        rng = random.Random(seed)
-        values = (rng.getrandbits(width) for _ in range(count))
-        report = VerifyReport(ok=False, checked=0, mode=mode, seed=seed)
-    else:
-        raise ValueError(f"unknown verification mode {mode!r}")
-
     controls = (0, 1) if controlled else (None,)
-    for value in values:
+
+    def check(circuit, case):
+        value, control = case
         window = [(value >> i) & 1 for i in range(width)]
-        for control in controls:
-            report.checked += 1
-            state = window + ([control] if controlled else [])
-            out = run(circuit, state)
-            want = oracle_rotate_right(window) if (control is None or control) else list(window)
-            if controlled:
-                want = want + [control]
-            if out != want:
-                if len(report.counterexamples) < MAX_COUNTEREXAMPLES:
-                    report.counterexamples.append(
-                        {"input": value, "control": control, "expected": want, "got": out}
-                    )
-    return _finish(report)
+        tail = [] if control is None else [control]
+        want = (window if control == 0 else oracle_rotate_right(window)) + tail
+        out = run(circuit, window + tail)
+        if out != want:
+            return {"input": value, "control": control, "expected": want, "got": out}
+
+    def draw(rng):
+        value = rng.getrandbits(width)
+        return [(value, control) for control in controls]
+
+    limit = EXHAUSTIVE_ROTATE_LIMIT
+    return _sweep(
+        mode,
+        count,
+        seed,
+        f"exhaustive rotate verification is limited to width <= {limit}" if width > limit else None,
+        lambda: build_controlled_ror(width) if controlled else build_ror(width),
+        lambda: itertools.product(range(1 << width), controls),
+        draw,
+        check,
+    )

@@ -110,31 +110,13 @@ def _emit_addnop(circ: Circuit, a: int, b: list[int], w: list[int], z: int) -> N
         circ.mark_stage()
 
 
-def build_addnop(n: int, layout: RegisterLayout | None = None, m: int = 0) -> Circuit:
-    """ADD/NOP block: add B into the top n+1 lines of P when A[m] is 1.
-
-    With the default standalone layout A holds a single control line (m = 0).
-    A wider layout (the multiplier's) may be passed, in which case the window
-    is the top n+1 lines of its P register.
-    """
-    if n < 1:
-        raise ValueError(f"operand width must be >= 1, got {n}")
-    if layout is None:
-        layout = addnop_layout(n)
-    for name in ("A", "B", "P", "Zcin"):
-        if name not in layout:
-            raise ValueError(f"layout is missing register {name}")
-    if layout["B"].size != n:
-        raise ValueError(f"register B must have {n} lines, has {layout['B'].size}")
-    if layout["P"].size < n + 1:
-        raise ValueError(f"register P must have at least {n + 1} lines")
-    if layout["Zcin"].size != 1:
-        raise ValueError("register Zcin must have exactly 1 line")
-    a = layout["A"].line(m)
-    b = list(layout["B"].lines)
-    window = list(layout["P"].lines)[-(n + 1):]
+def build_addnop(n: int) -> Circuit:
+    """Standalone ADD/NOP block: add B into the (n+1)-line window P when the
+    control line A is 1."""
+    layout = addnop_layout(n)
     circ = Circuit(layout)
-    _emit_addnop(circ, a, b, window, layout["Zcin"].start)
+    b, window = list(layout["B"].lines), list(layout["P"].lines)
+    _emit_addnop(circ, layout["A"].start, b, window, layout["Zcin"].start)
     return circ
 
 
@@ -166,23 +148,16 @@ def build_ror(width: int) -> Circuit:
     return circ
 
 
-def build_controlled_ror(width: int, control_line: int | None = None) -> Circuit:
+def build_controlled_ror(width: int) -> Circuit:
     """Rotate-right gated on a control line: the rejected design alternative.
 
     width-1 Fredkin gates share the control, so they serialize and cost 5
     units each; kept for the cost/delay trade-off numbers, never used by the
-    multiplier.
+    multiplier. The control is line `width`, just above the window.
     """
-    layout = controlled_ror_layout(width)
-    if control_line is None:
-        control_line = width
-    if 0 <= control_line < width:
-        raise ValueError(f"control line {control_line} lies inside the rotated window")
-    if control_line != width:
-        raise ValueError(f"control line must be line {width}, got {control_line}")
-    circ = Circuit(layout)
+    circ = Circuit(controlled_ror_layout(width))
     for i in range(width - 1):
-        circ.append(fredkin(control_line, i, i + 1))
+        circ.append(fredkin(width, i, i + 1))
         circ.mark_stage()
     return circ
 

@@ -148,12 +148,3 @@ def test_csv_render():
     assert lines[1] == "4,9,23,28,60.87,67.86"
     garbage = render_csv(garbage_rows(4), "garbage")
     assert garbage.strip().splitlines() == ["n,kotiyal,zhou,imp", "4,22,36,100%"]
-
-
-def test_asymptotics_table_static():
-    from revmul.analysis import asymptotics_markdown
-
-    text = asymptotics_markdown()
-    assert "| K(1) | O(n^log2(3)) | 6n | O(n) |" in text
-    assert "| ours | O(n^2) | 2n + 1 | O(n^2) |" in text
-    assert text.count("\n") == 7  # header, rule, four cited rows, ours

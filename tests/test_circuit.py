@@ -1,6 +1,6 @@
 import pytest
 
-from revmul import Circuit, Register, RegisterLayout, cnot, new_circuit, swap, toffoli
+from revmul import Circuit, Register, RegisterLayout, cnot, swap, toffoli
 from revmul.synth import multiplier_layout
 
 
@@ -16,8 +16,8 @@ def n2_layout():
     )
 
 
-def test_new_circuit_is_empty():
-    circ = new_circuit(n2_layout())
+def test_circuit_starts_empty():
+    circ = Circuit(n2_layout())
     assert circ.width == 9
     assert len(circ) == 0
     assert circ.stage_marks == []
@@ -54,19 +54,19 @@ def test_register_bit_lookup():
 
 
 def test_append_counts_gates():
-    circ = new_circuit(RegisterLayout([Register("R", 0, 17)]))
+    circ = Circuit(RegisterLayout([Register("R", 0, 17)]))
     circ.append(toffoli(0, 4, 11))
     assert len(circ) == 1
 
 
 def test_append_out_of_range():
-    circ = new_circuit(RegisterLayout([Register("R", 0, 17)]))
+    circ = Circuit(RegisterLayout([Register("R", 0, 17)]))
     with pytest.raises(ValueError, match="out of range"):
         circ.append(cnot(0, 17))
 
 
 def test_marked_stages():
-    circ = new_circuit(RegisterLayout([Register("R", 0, 6)]))
+    circ = Circuit(RegisterLayout([Register("R", 0, 6)]))
     circ.append(swap(0, 1))
     circ.mark_stage()
     circ.append(swap(2, 3))
@@ -74,10 +74,15 @@ def test_marked_stages():
     circ.mark_stage()
     assert circ.stage_count == 2
     assert [len(s) for s in circ.stages()] == [1, 2]
+    # gates after the last mark count one stage each
+    circ.append(swap(0, 5))
+    circ.append(swap(1, 2))
+    assert circ.stage_count == 4
+    assert [len(s) for s in circ.stages()] == [1, 2, 1, 1]
 
 
 def test_empty_stage_rejected():
-    circ = new_circuit(RegisterLayout([Register("R", 0, 2)]))
+    circ = Circuit(RegisterLayout([Register("R", 0, 2)]))
     with pytest.raises(ValueError, match="empty stage"):
         circ.mark_stage()
     circ.append(swap(0, 1))
@@ -87,7 +92,7 @@ def test_empty_stage_rejected():
 
 
 def test_overlapping_stage_gates_rejected():
-    circ = new_circuit(RegisterLayout([Register("R", 0, 4)]))
+    circ = Circuit(RegisterLayout([Register("R", 0, 4)]))
     circ.append(swap(0, 1))
     circ.append(swap(1, 2))
     with pytest.raises(ValueError, match="disjoint"):
@@ -95,7 +100,7 @@ def test_overlapping_stage_gates_rejected():
 
 
 def test_unmarked_tail_is_sequential():
-    circ = new_circuit(RegisterLayout([Register("R", 0, 6)]))
+    circ = Circuit(RegisterLayout([Register("R", 0, 6)]))
     circ.append(swap(0, 1))
     circ.mark_stage()
     circ.append(swap(2, 3))

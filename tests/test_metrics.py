@@ -1,13 +1,13 @@
 import random
 
 from revmul import (
+    Circuit,
     Register,
     RegisterLayout,
     asap_depth,
     build_addnop,
     build_ror,
     cnot,
-    new_circuit,
     staged_delay,
     structural_metrics,
     swap,
@@ -16,7 +16,7 @@ from revmul import (
 
 
 def scratch(width):
-    return new_circuit(RegisterLayout([Register("R", 0, width)]))
+    return Circuit(RegisterLayout([Register("R", 0, width)]))
 
 
 def test_empty_circuit_all_zero():

@@ -1,11 +1,15 @@
+import functools
 import itertools
 import random
 
 import pytest
 
 from revmul import (
-    apply_gate,
+    Register,
+    RegisterLayout,
+    VerifyReport,
     build_addnop,
+    build_controlled_ror,
     build_multiplier,
     build_ror,
     cnot,
@@ -13,17 +17,27 @@ from revmul import (
     oracle_multiply,
     oracle_rotate_right,
     pack_state,
+    parse_netlist,
     register_value,
     run,
     swap,
     toffoli,
     verify_multiplier,
     verify_rotate,
+    write_netlist,
 )
+from revmul import sim
 from revmul.circuit import Circuit
 
 
 # ---------------------------------------------------------------- gate semantics
+
+def apply_gate(state, gate):
+    """One gate on a basis state, as a one-gate circuit."""
+    circ = Circuit(RegisterLayout([Register("R", 0, len(state))]))
+    circ.append(gate)
+    return run(circ, state)
+
 
 def test_toffoli_semantics():
     assert apply_gate([1, 1, 0], toffoli(0, 1, 2)) == [1, 1, 1]
@@ -41,7 +55,7 @@ def test_swap_and_cnot_semantics():
     assert apply_gate([0, 1], cnot(0, 1)) == [0, 1]
 
 
-def test_apply_gate_does_not_mutate_input():
+def test_run_does_not_mutate_input():
     state = [1, 1, 0]
     apply_gate(state, toffoli(0, 1, 2))
     assert state == [1, 1, 0]
@@ -208,11 +222,103 @@ def test_verify_catches_a_damaged_circuit():
     assert first["got"] != first["expected"]
 
 
+def test_verify_checks_arguments_before_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a circuit was built before the arguments were checked")
+
+    for name in ("build_multiplier", "build_ror", "build_controlled_ror"):
+        monkeypatch.setattr(sim, name, refuse)
+    verifiers = (
+        (verify_multiplier, 7),
+        (verify_rotate, 300000),
+        (functools.partial(verify_rotate, controlled=True), 300000),
+    )
+    for verify, size in verifiers:
+        with pytest.raises(ValueError, match="limited to"):
+            verify(size, mode="exhaustive")
+        with pytest.raises(ValueError, match="unknown verification mode"):
+            verify(size, mode="bogus")
+        with pytest.raises(ValueError, match="positive count"):
+            verify(size, mode="random", count=0)
+
+
+def test_verify_multiplier_rejects_a_foreign_layout():
+    with pytest.raises(ValueError, match="not the n=2 multiplier"):
+        verify_multiplier(2, circuit=build_multiplier(3))
+    no_carry = Circuit(
+        RegisterLayout([Register("A", 0, 2), Register("B", 2, 2), Register("P", 4, 4)])
+    )
+    with pytest.raises(ValueError, match="not the n=2 multiplier"):
+        verify_multiplier(2, circuit=no_carry)
+    # a netlist read back from its .rev text has the same layout
+    assert verify_multiplier(2, circuit=parse_netlist(write_netlist(build_multiplier(2)))).ok
+
+
 def test_verify_counterexamples_capped():
     layout = build_multiplier(3).layout
     report = verify_multiplier(3, circuit=Circuit(layout))  # empty circuit: 49 wrong pairs
     assert not report.ok
     assert len(report.counterexamples) == 16
+
+
+def _drop_last_gate(circuit):
+    damaged = Circuit(circuit.layout)
+    damaged.extend(circuit.gates[:-1])
+    return damaged
+
+
+# (a, b, P read back) for every pair the damaged 3-bit multiplier gets wrong,
+# in sweep order; A, B and Zcin still come back intact.
+DAMAGED_MUL3 = [
+    (4, 1, 0), (4, 3, 8), (4, 5, 16), (4, 7, 24),
+    (5, 1, 1), (5, 3, 11), (5, 5, 29), (5, 7, 39),
+    (6, 1, 2), (6, 3, 22), (6, 5, 26), (6, 7, 46),
+    (7, 1, 3), (7, 3, 17), (7, 5, 39), (7, 7, 53),
+]
+
+
+def test_verify_multiplier_pins_counterexamples():
+    report = verify_multiplier(3, circuit=_drop_last_gate(build_multiplier(3)))
+    expected = [
+        {
+            "a": a,
+            "b": b,
+            "expected": {"P": a * b, "A": a, "B": b, "Zcin": 0},
+            "got": {"P": p, "A": a, "B": b, "Zcin": 0},
+        }
+        for a, b, p in DAMAGED_MUL3
+    ]
+    assert report == VerifyReport(ok=False, checked=64, mode="exhaustive", counterexamples=expected)
+    for example in report.counterexamples:
+        assert list(example) == ["a", "b", "expected", "got"]
+        assert list(example["expected"]) == list(example["got"]) == ["P", "A", "B", "Zcin"]
+
+
+@pytest.mark.parametrize(
+    "controlled, checked, examples",
+    [
+        (False, 8, [(2, None, [1, 0, 0], [0, 1, 0]), (3, None, [1, 0, 1], [0, 1, 1]),
+                    (4, None, [0, 1, 0], [1, 0, 0]), (5, None, [0, 1, 1], [1, 0, 1])]),
+        (True, 16, [(1, 1, [0, 0, 1, 1], [0, 1, 0, 1]), (3, 1, [1, 0, 1, 1], [1, 1, 0, 1]),
+                    (4, 1, [0, 1, 0, 1], [0, 0, 1, 1]), (6, 1, [1, 1, 0, 1], [1, 0, 1, 1])]),
+    ],
+)
+def test_verify_rotate_pins_counterexamples(monkeypatch, controlled, checked, examples):
+    # the width-3 rotate loses its last swap (last Fredkin when controlled)
+    monkeypatch.setattr(sim, "build_ror", lambda width: _drop_last_gate(build_ror(width)))
+    monkeypatch.setattr(
+        sim, "build_controlled_ror", lambda width: _drop_last_gate(build_controlled_ror(width))
+    )
+    report = verify_rotate(3, controlled=controlled)
+    expected = [
+        {"input": value, "control": control, "expected": want, "got": got}
+        for value, control, want, got in examples
+    ]
+    assert report == VerifyReport(
+        ok=False, checked=checked, mode="exhaustive", counterexamples=expected
+    )
+    for example in report.counterexamples:
+        assert list(example) == ["input", "control", "expected", "got"]
 
 
 @pytest.mark.parametrize("width", [2, 7, 8])
