@@ -1,7 +1,8 @@
 """Reversible gate primitives: CNOT, Toffoli, Fredkin and Swap.
 
 Every gate here is a classical involutive permutation of basis states, so the
-whole gate set can be simulated exactly one bit per line. Kinds are named by
+whole gate set can be simulated exactly with bitwise operations on one int
+per line, one bit per independent input (see `sim.run`). Kinds are named by
 their assembly mnemonics (cx, ccx, cswap, swap).
 """
 

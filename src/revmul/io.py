@@ -3,7 +3,7 @@
 The .rev format is line oriented with `#` comments:
 
     rev 1                       version header (required first)
-    qubits <width>              total line count (required)
+    qubits <width>              total line count (required, 1..MAX_QUBITS)
     reg <NAME> <lo> <hi>        data register over lines lo..hi inclusive
     anc <NAME> <lo> <hi> <bit>  ancilla register entering as the constant bit
     cx c t                      gates, 0-based line indices, controls first
@@ -13,6 +13,9 @@ The .rev format is line oriented with `#` comments:
     ---                         stage boundary after the preceding gate
 
 Registers must cover every line exactly once (bit 0 of a register is its LSB).
+A width above MAX_QUBITS (65,536) is refused, so no netlist can make the
+simulator allocate a state of absurd size; the largest multiplier the
+comparison tables describe (n=1024) has 4,097 lines.
 The writer emits a canonical form: writing, parsing and writing again is byte
 identical.
 """
@@ -26,6 +29,7 @@ from .metrics import Metrics
 from .sim import VerifyReport
 
 FORMAT_VERSION = 1
+MAX_QUBITS = 1 << 16
 
 
 class NetlistError(ValueError):
@@ -88,6 +92,10 @@ class _Parser:
             self.width = _parse_int(fields[1], "width", lineno)
             if self.width < 1:
                 raise NetlistError(f"width must be positive, got {self.width}", lineno)
+            if self.width > MAX_QUBITS:
+                raise NetlistError(
+                    f"width {self.width} exceeds the limit of {MAX_QUBITS} lines", lineno
+                )
             return
         if head in ("reg", "anc"):
             want = 4 if head == "reg" else 5

@@ -1,10 +1,13 @@
-"""Bit-exact simulation, behavioral oracles and the verification harness.
+"""Bit-sliced simulation, behavioral oracles and the verification harness.
 
 Simulation is restricted to classical basis states: every supported gate
-permutes them, so bit-level execution is exact and exhaustive sweeps over all
-inputs are cheap at small widths. `run` is the only way into the gate kernel,
-and both verifiers share one sweep, `_sweep`; each verifier adds only its size
-limit, its cases and the check of one case.
+permutes them, so bit-level execution is exact. It is also bit-sliced (Biham,
+FSE 1997): each line holds one int whose bit k is that line's value in lane
+k, so a Toffoli is `t ^= c1 & c2` on whole ints and one pass over the gates
+simulates every lane at once. `run` is the only gate kernel, and both
+verifiers share one sweep, `_sweep`, which packs up to LANES cases into each
+`run` call; each verifier adds only its size limit, its cases, and each
+case's entry state, wanted exit state and counterexample.
 """
 
 import itertools
@@ -16,35 +19,42 @@ from .gates import FREDKIN, SWAP, TOFFOLI
 from .synth import build_controlled_ror, build_multiplier, build_ror, multiplier_layout
 
 MAX_COUNTEREXAMPLES = 16
+LANES = 4096  # cases per `run` call in a verification sweep
 EXHAUSTIVE_ROTATE_LIMIT = 20  # 2^20 states; beyond that use randomized mode
 
 
 def run(circuit: Circuit, state: list[int], trace: bool = False):
-    """Apply the circuit's gates in order to a basis state.
+    """Apply the circuit's gates in order to a lane-packed state.
 
+    state[line] is an int whose bit k is that line's value in lane k, so one
+    call carries as many independent basis states as the ints have bits. A
+    list of 0/1 values is the one-lane case: one basis state in, one out.
     Returns the final state, or (final state, snapshots) with one snapshot of
     the state at each stage boundary when trace is set.
     """
     if len(state) != circuit.width:
         raise ValueError(f"state has {len(state)} bits, circuit width is {circuit.width}")
-    bits = list(state)
+    v = list(state)
     snapshots = []
     for stage in circuit.stages() if trace else (circuit.gates,):
         for gate in stage:
             kind = gate.kind
             ln = gate.lines
             if kind == TOFFOLI:
-                bits[ln[2]] ^= bits[ln[0]] & bits[ln[1]]
+                v[ln[2]] ^= v[ln[0]] & v[ln[1]]
             elif kind == FREDKIN:
-                if bits[ln[0]]:
-                    bits[ln[1]], bits[ln[2]] = bits[ln[2]], bits[ln[1]]
+                c, a, b = ln
+                d = (v[a] ^ v[b]) & v[c]
+                v[a] ^= d
+                v[b] ^= d
             elif kind == SWAP:
-                bits[ln[0]], bits[ln[1]] = bits[ln[1]], bits[ln[0]]
+                a, b = ln
+                v[a], v[b] = v[b], v[a]
             else:  # CNOT
-                bits[ln[1]] ^= bits[ln[0]]
+                v[ln[1]] ^= v[ln[0]]
         if trace:
-            snapshots.append(list(bits))
-    return (bits, snapshots) if trace else bits
+            snapshots.append(list(v))
+    return (v, snapshots) if trace else v
 
 
 def pack_state(layout: RegisterLayout, values: dict[str, int]) -> list[int]:
@@ -134,10 +144,28 @@ class VerifyReport:
     garbage_outputs: int | None = None
 
 
-def _sweep(mode, count, seed, too_big, build, every, draw, check) -> VerifyReport:
-    """Check the arguments, `build()` the circuit, then `check(circuit, case)`
-    each case of `every()`, or of `draw(rng)` for `count` seeded draws. A
-    failing case yields a counterexample; the first 16 are kept."""
+def _transpose(rows: list[int], bits: int) -> list[int]:
+    """Transpose a bit matrix: `bits` ints out, bit k of out[j] = bit j of rows[k].
+
+    Turns whole-state ints (one per lane) into a lane-packed state (one int per
+    line) and back. The bits move through strings at C speed: one binary row
+    per input int, one stride slice per output int.
+    """
+    spec = f"0{bits}b"
+    text = "".join([format(row, spec) for row in reversed(rows)])
+    return [int(text[bits - 1 - j :: bits], 2) for j in range(bits)]
+
+
+def _sweep(mode, count, seed, too_big, build, every, draw, entry, want, explain) -> VerifyReport:
+    """Check the arguments, `build()` the circuit, then sweep the cases of
+    `every()`, or of `draw(rng)` for `count` seeded draws.
+
+    Cases run LANES at a time through one `run` call: `entry(case)` is the
+    whole entry state as an int (bit i = line i), `want(case)` the exit state
+    it must reach. A case that ends anywhere else fails, and
+    `explain(case, out_bits)` turns it into a counterexample; the first 16 in
+    sweep order are kept.
+    """
     if mode == "exhaustive":
         if too_big:
             raise ValueError(too_big)
@@ -150,16 +178,19 @@ def _sweep(mode, count, seed, too_big, build, every, draw, check) -> VerifyRepor
         raise ValueError(f"unknown verification mode {mode!r}")
     circuit = build()
     if mode == "exhaustive":
-        cases = every()
+        cases = iter(every())
     else:
         rng = random.Random(seed)
         cases = (case for _ in range(count) for case in draw(rng))
-    for case in cases:
-        report.checked += 1
-        counterexample = check(circuit, case)
-        if counterexample is not None and len(report.counterexamples) < MAX_COUNTEREXAMPLES:
-            report.counterexamples.append(counterexample)
-    report.ok = not report.counterexamples
+    width = circuit.width
+    counterexamples = report.counterexamples
+    while batch := list(itertools.islice(cases, LANES)):
+        out = run(circuit, _transpose([entry(case) for case in batch], width))
+        for case, got in zip(batch, _transpose(out, len(batch))):
+            if got != want(case) and len(counterexamples) < MAX_COUNTEREXAMPLES:
+                counterexamples.append(explain(case, [(got >> i) & 1 for i in range(width)]))
+        report.checked += len(batch)
+    report.ok = not counterexamples
     report.garbage_outputs = 0 if report.ok else None
     return report
 
@@ -184,13 +215,18 @@ def verify_multiplier(
     if circuit is not None and circuit.layout != multiplier_layout(n):
         raise ValueError(f"circuit layout {circuit.layout!r} is not the n={n} multiplier's")
 
-    def check(circuit, pair):
+    def want(pair):
         a, b = pair
-        out = run(circuit, pack_state(circuit.layout, {"A": a, "B": b}))
-        got = {name: register_value(circuit.layout, out, name) for name in ("P", "A", "B", "Zcin")}
+        if oracle_multiply(n, a, b) != a * b:
+            return None  # matches no exit state, so the pair fails
+        return a | b << n | a * b << 2 * n  # lines A, B, P, then Zcin = 0
+
+    def explain(pair, out):
+        a, b = pair
+        layout = multiplier_layout(n)
+        got = {name: register_value(layout, out, name) for name in ("P", "A", "B", "Zcin")}
         expected = {"P": a * b, "A": a, "B": b, "Zcin": 0}
-        if got != expected or oracle_multiply(n, a, b) != a * b:
-            return {"a": a, "b": b, "expected": expected, "got": got}
+        return {"a": a, "b": b, "expected": expected, "got": got}
 
     return _sweep(
         mode,
@@ -200,7 +236,9 @@ def verify_multiplier(
         lambda: build_multiplier(n) if circuit is None else circuit,
         lambda: itertools.product(range(1 << n), repeat=2),
         lambda rng: [(rng.randrange(1 << n), rng.randrange(1 << n))],
-        check,
+        lambda pair: pair[0] | pair[1] << n,
+        want,
+        explain,
     )
 
 
@@ -219,14 +257,22 @@ def verify_rotate(
     """
     controls = (0, 1) if controlled else (None,)
 
-    def check(circuit, case):
+    def entry(case):
+        value, control = case
+        return value if control is None else value | control << width
+
+    def want(case):
+        value, control = case
+        if control != 0:
+            value = value >> 1 | (value & 1) << (width - 1)
+        return entry((value, control))
+
+    def explain(case, out):
         value, control = case
         window = [(value >> i) & 1 for i in range(width)]
         tail = [] if control is None else [control]
-        want = (window if control == 0 else oracle_rotate_right(window)) + tail
-        out = run(circuit, window + tail)
-        if out != want:
-            return {"input": value, "control": control, "expected": want, "got": out}
+        expected = (window if control == 0 else oracle_rotate_right(window)) + tail
+        return {"input": value, "control": control, "expected": expected, "got": out}
 
     def draw(rng):
         value = rng.getrandbits(width)
@@ -241,5 +287,7 @@ def verify_rotate(
         lambda: build_controlled_ror(width) if controlled else build_ror(width),
         lambda: itertools.product(range(1 << width), controls),
         draw,
-        check,
+        entry,
+        want,
+        explain,
     )

@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import revmul
 from revmul.cli import main
 
 
@@ -145,10 +148,14 @@ def test_unknown_subcommand_exits_two():
 
 
 def test_module_entry_point():
+    # the child imports the same revmul as this test, installed or not
+    src = str(Path(revmul.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "revmul", "verify", "mul", "--n", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "ok" in proc.stdout

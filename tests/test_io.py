@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import revmul.io
 from revmul import (
     Circuit,
     NetlistError,
@@ -97,6 +98,15 @@ def test_duplicate_gate_line_reports_lineno():
 
 def test_missing_qubits_header():
     assert "missing qubits" in err("rev 1\nreg R 0 1\nswap 0 1\n")
+
+
+def test_qubits_limit():
+    # parse only: a file this wide must never reach the simulator
+    limit = revmul.io.MAX_QUBITS
+    message = err(f"rev 1\nqubits {limit + 1}\nreg A 0 {limit}\n")
+    assert "line 2" in message and "exceeds the limit" in message
+    assert "line 2" in err("rev 1\nqubits 4000000000\nreg A 0 3999999999\n")
+    assert parse_netlist(f"rev 1\nqubits {limit}\nreg A 0 {limit - 1}\n").width == limit
 
 
 def test_missing_version_header():

@@ -3,6 +3,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revmul import (
     Register,
@@ -28,6 +30,7 @@ from revmul import (
 )
 from revmul import sim
 from revmul.circuit import Circuit
+from revmul.gates import ARITY, FREDKIN, KIND_ORDER, SWAP, TOFFOLI, Gate
 
 
 # ---------------------------------------------------------------- gate semantics
@@ -366,3 +369,197 @@ def test_pack_state_ancilla_default_and_override():
     assert register_value(layout, state, "P") == 0
     state = pack_state(layout, {"A": 1, "B": 2, "P": 5})
     assert register_value(layout, state, "P") == 5
+
+
+# ---------------------------------------------------------------- lane packing against a reference
+
+def reference_run(circuit, state, trace=False):
+    """Per-bit, branching kernel: one basis state per call, as `run` was
+    before it became lane-packed."""
+    bits = list(state)
+    snapshots = []
+    for stage in circuit.stages() if trace else (circuit.gates,):
+        for gate in stage:
+            kind = gate.kind
+            ln = gate.lines
+            if kind == TOFFOLI:
+                bits[ln[2]] ^= bits[ln[0]] & bits[ln[1]]
+            elif kind == FREDKIN:
+                if bits[ln[0]]:
+                    bits[ln[1]], bits[ln[2]] = bits[ln[2]], bits[ln[1]]
+            elif kind == SWAP:
+                bits[ln[0]], bits[ln[1]] = bits[ln[1]], bits[ln[0]]
+            else:  # CNOT
+                bits[ln[1]] ^= bits[ln[0]]
+        if trace:
+            snapshots.append(list(bits))
+    return (bits, snapshots) if trace else bits
+
+
+@st.composite
+def circuits(draw):
+    """Gates of every kind the width allows, cut into stages at random and
+    wherever the next gate would overlap the open stage; trailing gates may
+    stay unmarked."""
+    width = draw(st.integers(1, 12))
+    circ = Circuit(RegisterLayout([Register("R", 0, width)]))
+    kinds = [kind for kind in KIND_ORDER if ARITY[kind] <= width]
+    used = set()
+    for _ in range(draw(st.integers(0, 24)) if kinds else 0):
+        kind = draw(st.sampled_from(kinds))
+        lines = draw(st.permutations(range(width)))[: ARITY[kind]]
+        if used.intersection(lines):
+            circ.mark_stage()
+            used = set()
+        circ.append(Gate(kind, tuple(lines)))
+        used.update(lines)
+        if draw(st.booleans()):
+            circ.mark_stage()
+            used = set()
+    return circ
+
+
+@settings(deadline=None)
+@given(circuits(), st.data())
+def test_lane_packed_run_equals_per_state_reference(circ, data):
+    width = circ.width
+    lanes = data.draw(st.integers(1, 70), label="lanes")  # 65+ crosses a 64-bit word
+    values = data.draw(
+        st.lists(st.integers(0, (1 << width) - 1), min_size=lanes, max_size=lanes),
+        label="states",
+    )
+    states = [[(value >> line) & 1 for line in range(width)] for value in values]
+    packed = [sum(state[line] << k for k, state in enumerate(states)) for line in range(width)]
+    final, snapshots = run(circ, packed, trace=True)
+    assert run(circ, packed) == final
+
+    def lane(packed_state, k):
+        return [(value >> k) & 1 for value in packed_state]
+
+    for k, state in enumerate(states):
+        want_final, want_snapshots = reference_run(circ, state, trace=True)
+        assert lane(final, k) == want_final
+        assert [lane(snapshot, k) for snapshot in snapshots] == want_snapshots
+
+
+def reference_report(mode, seed, examples):
+    """A VerifyReport from one check result per case in sweep order (None
+    for a pass), as the per-case sweep built it."""
+    failures = [example for example in examples if example is not None]
+    ok = not failures
+    return VerifyReport(
+        ok=ok,
+        checked=len(examples),
+        mode=mode,
+        seed=seed if mode == "random" else None,
+        counterexamples=failures[: sim.MAX_COUNTEREXAMPLES],
+        garbage_outputs=0 if ok else None,
+    )
+
+
+def reference_multiplier_examples(n, circuit, mode, count=0, seed=0):
+    if mode == "exhaustive":
+        pairs = list(itertools.product(range(1 << n), repeat=2))
+    else:
+        rng = random.Random(seed)
+        pairs = [(rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(count)]
+    examples = []
+    for a, b in pairs:
+        out = reference_run(circuit, pack_state(circuit.layout, {"A": a, "B": b}))
+        got = {name: register_value(circuit.layout, out, name) for name in ("P", "A", "B", "Zcin")}
+        expected = {"P": a * b, "A": a, "B": b, "Zcin": 0}
+        wrong = got != expected or oracle_multiply(n, a, b) != a * b
+        examples.append({"a": a, "b": b, "expected": expected, "got": got} if wrong else None)
+    return examples
+
+
+def reference_rotate_examples(width, circuit, controlled, mode, count=0, seed=0):
+    controls = (0, 1) if controlled else (None,)
+    if mode == "exhaustive":
+        cases = list(itertools.product(range(1 << width), controls))
+    else:
+        rng = random.Random(seed)
+        cases = [(value, c) for value in (rng.getrandbits(width) for _ in range(count)) for c in controls]
+    examples = []
+    for value, control in cases:
+        window = [(value >> i) & 1 for i in range(width)]
+        tail = [] if control is None else [control]
+        want = (window if control == 0 else oracle_rotate_right(window)) + tail
+        out = reference_run(circuit, window + tail)
+        wrong = out != want
+        examples.append(
+            {"input": value, "control": control, "expected": want, "got": out} if wrong else None
+        )
+    return examples
+
+
+def flagged_multiplier(n):
+    """The n-bit multiplier followed by gates that flip Zcin when the top four
+    product bits are all 1, a rare failure (about 1 pair in 500 at n=6).
+
+    Lines A0 and B0 serve as borrowed helpers and come back unchanged:
+    the four gates `c3` compute A0 ^= p0 & p1 & p2, and the pair of
+    Toffolis around the first copy leaves Zcin ^= p3 & (p0 & p1 & p2).
+    """
+    circ = build_multiplier(n)
+    top = circ.layout["P"].end - 1
+    p0, p1, p2, p3 = top, top - 1, top - 2, top - 3
+    a0, b0, zcin = circ.layout["A"].start, circ.layout["B"].start, circ.layout["Zcin"].start
+    c3 = [toffoli(p2, b0, a0), toffoli(p0, p1, b0), toffoli(p2, b0, a0), toffoli(p0, p1, b0)]
+    circ.extend([toffoli(p3, a0, zcin), *c3, toffoli(p3, a0, zcin), *c3])
+    return circ
+
+
+def _drop_last_gate_of(builder):
+    return lambda width: _drop_last_gate(builder(width))
+
+
+@pytest.mark.parametrize("controlled, width", [(False, 14), (True, 13)])
+def test_exhaustive_rotate_sweep_over_several_batches_matches_reference(
+    monkeypatch, controlled, width
+):
+    # 2^14 cases, four batches
+    monkeypatch.setattr(sim, "build_ror", _drop_last_gate_of(build_ror))
+    monkeypatch.setattr(sim, "build_controlled_ror", _drop_last_gate_of(build_controlled_ror))
+    damaged = (sim.build_controlled_ror if controlled else sim.build_ror)(width)
+    examples = reference_rotate_examples(width, damaged, controlled, "exhaustive")
+    assert len(examples) > sim.LANES
+    report = verify_rotate(width, controlled=controlled)
+    assert report == reference_report("exhaustive", None, examples)
+    assert not report.ok and len(report.counterexamples) == 16
+
+
+def test_random_sweep_one_past_a_batch_matches_reference():
+    damaged = _drop_last_gate(build_multiplier(4))
+    count = sim.LANES + 1
+    examples = reference_multiplier_examples(4, damaged, "random", count, seed=5)
+    report = verify_multiplier(4, mode="random", count=count, seed=5, circuit=damaged)
+    assert report == reference_report("random", 5, examples)
+    assert not report.ok
+
+
+def test_first_counterexamples_spanning_two_batches_match_reference():
+    circuit = flagged_multiplier(6)
+    count = 3 * sim.LANES
+    examples = reference_multiplier_examples(6, circuit, "random", count, seed=3)
+    failing = [i for i, example in enumerate(examples) if example is not None]
+    in_first = sum(i < sim.LANES for i in failing)
+    assert 0 < in_first < 16 <= sum(i < 2 * sim.LANES for i in failing) < len(failing)
+    report = verify_multiplier(6, mode="random", count=count, seed=3, circuit=circuit)
+    assert report == reference_report("random", 3, examples)
+
+
+@pytest.mark.parametrize("lanes", [1, 3, 64])
+def test_reports_do_not_depend_on_the_batch_size(monkeypatch, lanes):
+    damaged = _drop_last_gate(build_multiplier(3))
+    want_mul = verify_multiplier(3, circuit=damaged)
+    want_rand = verify_multiplier(3, mode="random", count=200, seed=8, circuit=damaged)
+    monkeypatch.setattr(sim, "build_controlled_ror", _drop_last_gate_of(build_controlled_ror))
+    want_rot = verify_rotate(5, mode="random", count=101, seed=2, controlled=True)
+    monkeypatch.setattr(sim, "LANES", lanes)
+    assert verify_multiplier(3, circuit=damaged) == want_mul
+    assert verify_multiplier(3, mode="random", count=200, seed=8, circuit=damaged) == want_rand
+    assert verify_rotate(5, mode="random", count=101, seed=2, controlled=True) == want_rot
+    assert want_mul == reference_report(
+        "exhaustive", None, reference_multiplier_examples(3, damaged, "exhaustive")
+    )
