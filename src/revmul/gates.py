@@ -22,7 +22,7 @@ QUANTUM_COST = {CNOT: 1, TOFFOLI: 5, FREDKIN: 5, SWAP: 3}
 KIND_ORDER = (CNOT, TOFFOLI, FREDKIN, SWAP)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One gate instance: a kind plus the ordered 0-based lines it acts on.
 
@@ -34,17 +34,19 @@ class Gate:
     lines: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "lines", tuple(self.lines))
-        if self.kind not in ARITY:
+        lines = self.lines
+        if type(lines) is not tuple:
+            lines = tuple(lines)
+            object.__setattr__(self, "lines", lines)
+        arity = ARITY.get(self.kind)
+        if arity is None:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if len(self.lines) != ARITY[self.kind]:
-            raise ValueError(
-                f"{self.kind} takes {ARITY[self.kind]} lines, got {len(self.lines)}"
-            )
-        if any(line < 0 for line in self.lines):
-            raise ValueError(f"negative line index in {self.kind} gate: {self.lines}")
-        if len(set(self.lines)) != len(self.lines):
-            raise ValueError(f"duplicate line index in {self.kind} gate: {self.lines}")
+        if len(lines) != arity:
+            raise ValueError(f"{self.kind} takes {arity} lines, got {len(lines)}")
+        if min(lines) < 0:
+            raise ValueError(f"negative line index in {self.kind} gate: {lines}")
+        if len(set(lines)) != arity:
+            raise ValueError(f"duplicate line index in {self.kind} gate: {lines}")
 
     @property
     def cost(self) -> int:

@@ -51,7 +51,12 @@ def staged_delay(circuit: Circuit) -> int:
     Unmarked trailing gates count as one sequential stage apiece, so a circuit
     with no marks at all is priced fully sequentially (= its quantum cost).
     """
-    return sum(max(g.cost for g in stage) for stage in circuit.stages())
+    costs = [g.cost for g in circuit.gates]
+    total = start = 0
+    for mark in circuit.stage_marks:
+        total += max(costs[start:mark])
+        start = mark
+    return total + sum(costs[start:])
 
 
 def structural_metrics(circuit: Circuit) -> Metrics:

@@ -8,7 +8,7 @@ otherwise) and a constant-depth rotate-right-by-one network.
 """
 
 from .circuit import Circuit, Register, RegisterLayout
-from .gates import fredkin, swap, toffoli
+from .gates import TOFFOLI, Gate, fredkin, swap, toffoli
 
 
 def multiplier_layout(n: int) -> RegisterLayout:
@@ -169,15 +169,36 @@ def build_multiplier(n: int) -> Circuit:
     register between consecutive blocks; the window alignment makes the final
     rotate unnecessary. P exits holding A*B, A and B exit unchanged and Zcin
     exits 0, so no output is garbage.
+
+    The first ADD/NOP and the first rotate go through the checked path
+    (Circuit.append and mark_stage); every later block is stamped from them.
+    ADD/NOP m differs from ADD/NOP 0 only in its control A[m], the first line
+    of each of its Toffolis, and no other gate of the block touches an A line,
+    so each copy keeps the template's range and per-stage disjointness.
     """
     layout = multiplier_layout(n)
+    a = layout["A"]
     b = list(layout["B"].lines)
     p = list(layout["P"].lines)
     window = p[-(n + 1):]
-    z = layout["Zcin"].start
     circ = Circuit(layout)
-    for m in range(n - 1):
-        _emit_addnop(circ, layout["A"].line(m), b, window, z)
-        _emit_ror(circ, p)
-    _emit_addnop(circ, layout["A"].line(n - 1), b, window, z)
+    _emit_addnop(circ, a.line(0), b, window, layout["Zcin"].start)
+    if n == 1:
+        return circ
+    addnop_len = len(circ.gates)
+    _emit_ror(circ, p)
+    template = [(g.kind, g.lines, g.lines[1:]) for g in circ.gates]
+    template_marks = list(circ.stage_marks)
+    gates, marks = circ.gates, circ.stage_marks
+    for m in range(1, n):
+        control = (a.line(m),)
+        block = template if m < n - 1 else template[:addnop_len]
+        base = len(gates)
+        gates.extend(
+            [
+                Gate(kind, control + tail if kind == TOFFOLI else lines)
+                for kind, lines, tail in block
+            ]
+        )
+        marks.extend([base + mark for mark in template_marks if mark <= len(block)])
     return circ

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import revmul
-from revmul.cli import main
+from revmul import cli, sim, synth
+from revmul.cli import MAX_GATES, main
 
 
 def test_build_mul_writes_netlist(tmp_path, capsys):
@@ -38,6 +39,51 @@ def test_build_usage_errors(tmp_path, capsys):
     assert main(["build", "mul", "--width", "4"]) == 2  # wrong size flag
     err = capsys.readouterr().err
     assert "error" in err
+
+
+@pytest.fixture
+def no_builders(monkeypatch):
+    """Make every circuit builder fail the test if anything calls it."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a builder ran")
+
+    for name in ("build_multiplier", "build_addnop", "build_ror", "build_controlled_ror"):
+        for module in (synth, sim):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "argv,estimate",
+    [
+        (["build", "mul", "--n", "100000"], 59_999_800_001),
+        (["verify", "ror", "--width", "100000000", "--random", "1"], 99_999_999),
+        (["build", "mul", "--n", "419"], 1_052_529),
+        (["build", "addnop", "--n", "262144"], 1_048_577),
+        (["verify", "cror", "--width", str(MAX_GATES + 2)], MAX_GATES + 1),
+        (["verify", "mul", "--n", "100000", "--exhaustive"], 59_999_800_001),
+    ],
+)
+def test_oversized_circuit_refused_before_building(argv, estimate, no_builders, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"would have {estimate} gates, above the limit of {MAX_GATES}" in err
+
+
+def test_size_limit_boundary():
+    assert cli.GATE_COUNT["mul"](418) <= MAX_GATES < cli.GATE_COUNT["mul"](419)
+
+
+@pytest.mark.parametrize(
+    "block,size",
+    [("mul", 1), ("mul", 2), ("mul", 7), ("addnop", 1), ("addnop", 5), ("ror", 2), ("ror", 9), ("cror", 6)],
+)
+def test_gate_count_matches_built_circuit(block, size, tmp_path, capsys):
+    out = tmp_path / "c.rev"
+    flag = cli.SIZE_FLAG[block]
+    assert main(["build", block, f"--{flag}", str(size), "--out", str(out)]) == 0
+    assert f"({cli.GATE_COUNT[block](size)} gates)" in capsys.readouterr().out
 
 
 def test_sim_multiplies(tmp_path, capsys):

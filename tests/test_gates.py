@@ -45,3 +45,34 @@ def test_unknown_kind_rejected():
 def test_negative_line_rejected():
     with pytest.raises(ValueError, match="negative"):
         Gate(SWAP, (-1, 0))
+
+
+@pytest.mark.parametrize(
+    "kind,lines,message",
+    [
+        ("x", (0,), "unknown gate kind 'x'"),
+        (TOFFOLI, (0, 1), "ccx takes 3 lines, got 2"),
+        (SWAP, [0, 1, 2], "swap takes 2 lines, got 3"),
+        (FREDKIN, (0, -2, 1), "negative line index in cswap gate: (0, -2, 1)"),
+        (CNOT, [4, 4], "duplicate line index in cx gate: (4, 4)"),
+        # the negative check runs before the duplicate check
+        (SWAP, (-1, -1), "negative line index in swap gate: (-1, -1)"),
+        # and the arity check before both
+        ("cx", (-1, -1, -1), "cx takes 2 lines, got 3"),
+    ],
+)
+def test_gate_fault_messages(kind, lines, message):
+    with pytest.raises(ValueError) as info:
+        Gate(kind, lines)
+    assert str(info.value) == message
+
+
+def test_lines_stored_as_tuple():
+    gate = Gate(TOFFOLI, [0, 1, 2])
+    assert gate.lines == (0, 1, 2) and type(gate.lines) is tuple
+    assert gate == toffoli(0, 1, 2) and hash(gate) == hash(toffoli(0, 1, 2))
+
+
+def test_gate_is_frozen():
+    with pytest.raises(AttributeError):
+        swap(0, 1).kind = CNOT

@@ -1,13 +1,17 @@
 import random
 
+import pytest
+
 from revmul import (
     Circuit,
     Register,
     RegisterLayout,
     asap_depth,
     build_addnop,
+    build_multiplier,
     build_ror,
     cnot,
+    fredkin,
     staged_delay,
     structural_metrics,
     swap,
@@ -98,3 +102,42 @@ def test_depth_ordering_on_built_blocks():
     for circ in (build_addnop(3), build_ror(8), build_ror(7)):
         m = structural_metrics(circ)
         assert m.asap_depth <= m.staged_delay <= m.quantum_cost
+
+
+def stages_delay(circ):
+    """Staged delay summed over Circuit.stages(), the reference."""
+    return sum(max(g.cost for g in stage) for stage in circ.stages())
+
+
+def mixed_circuit(marked):
+    # 7 gates of costs 1, 5, 3, 5, 3, 1, 5; `marked` closes a stage after
+    # each listed gate count
+    circ = scratch(6)
+    gates = [cnot(0, 1), toffoli(2, 3, 4), swap(0, 5), fredkin(1, 2, 3),
+             swap(4, 5), cnot(0, 1), toffoli(3, 4, 5)]
+    for count, gate in enumerate(gates, 1):
+        circ.append(gate)
+        if count in marked:
+            circ.mark_stage()
+    return circ
+
+
+@pytest.mark.parametrize(
+    "circ",
+    [
+        scratch(3),
+        mixed_circuit(()),  # no marks: priced gate by gate
+        mixed_circuit(range(1, 8)),  # every gate its own marked stage
+        mixed_circuit((2, 3)),  # trailing unmarked gates
+        mixed_circuit((1,)),
+        build_ror(7),
+        build_multiplier(3),
+    ],
+)
+def test_staged_delay_matches_stage_list_sum(circ):
+    assert staged_delay(circ) == stages_delay(circ)
+
+
+def test_staged_delay_trailing_gates_each_a_stage():
+    # stages [cx, ccx] and [swap], then four unmarked gates of their own
+    assert staged_delay(mixed_circuit((2, 3))) == 5 + 3 + 5 + 3 + 1 + 5

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -14,6 +15,8 @@ from revmul import (
 )
 from revmul.circuit import Circuit
 from revmul.gates import FREDKIN, SWAP, TOFFOLI
+from revmul.io import write_netlist
+from revmul.synth import _emit_addnop, _emit_ror, multiplier_layout
 
 
 # ---------------------------------------------------------------- ADD/NOP
@@ -239,3 +242,45 @@ def test_multiplier_stage_count():
     for n in (1, 2, 3, 4):
         expected = n * (3 * n + 2) + (n - 1) * 2
         assert build_multiplier(n).stage_count == expected
+
+
+def reference_multiplier(n):
+    """The multiplier emitted block by block through the checked path."""
+    layout = multiplier_layout(n)
+    b = list(layout["B"].lines)
+    p = list(layout["P"].lines)
+    window = p[-(n + 1):]
+    z = layout["Zcin"].start
+    circ = Circuit(layout)
+    for m in range(n - 1):
+        _emit_addnop(circ, layout["A"].line(m), b, window, z)
+        _emit_ror(circ, p)
+    _emit_addnop(circ, layout["A"].line(n - 1), b, window, z)
+    return circ
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_multiplier_equals_checked_block_by_block_build(n):
+    # layout, every gate and every stage mark
+    assert build_multiplier(n) == reference_multiplier(n)
+
+
+def test_multiplier_gates_are_distinct_objects():
+    gates = build_multiplier(4).gates
+    assert len({id(g) for g in gates}) == len(gates)
+
+
+# sha256 of the .rev netlist, the digests the benchmark pins
+MULTIPLIER_NETLIST_SHA256 = {
+    2: "8a0a8995aa31facd2677379a6cf01c53fb449c7758432e4c1a33a4ea7a8bed7c",
+    3: "1e90fa1d20df9712cada5476c50e8c2ea87ddb908bbba86c89b41654f1d313b1",
+    4: "71fa9c5de262134a102597ccc4ea9cf64e8719cae1d9682173b0e21bd73885a8",
+    6: "91ac1437a8fb9298503a5336b79ff37dfea4127b63e9b1a7c14a4c2fe800469b",
+    16: "d78c82d0cf698da717a9235d8c5201d24a4a5a6016d0a632e9e35e66df8b2987",
+}
+
+
+@pytest.mark.parametrize("n", sorted(MULTIPLIER_NETLIST_SHA256))
+def test_multiplier_netlist_bytes_pinned(n):
+    text = write_netlist(build_multiplier(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == MULTIPLIER_NETLIST_SHA256[n]
