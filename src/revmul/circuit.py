@@ -127,7 +127,7 @@ class Circuit:
         return f"Circuit(width={self.width}, gates={len(self.gates)}, stages={self.stage_count})"
 
     def append(self, gate: Gate) -> None:
-        if any(line >= self.width for line in gate.lines):
+        if max(gate.lines) >= self.width:
             raise ValueError(
                 f"gate {gate.kind} {gate.lines} out of range for width {self.width}"
             )
@@ -142,11 +142,9 @@ class Circuit:
         first = self.stage_marks[-1] if self.stage_marks else 0
         if len(self.gates) == first:
             raise ValueError("empty stage")
-        used: set[int] = set()
-        for gate in self.gates[first:]:
-            if used.intersection(gate.lines):
-                raise ValueError("stage gates must act on pairwise disjoint lines")
-            used.update(gate.lines)
+        lines = [line for gate in self.gates[first:] for line in gate.lines]
+        if len(set(lines)) != len(lines):
+            raise ValueError("stage gates must act on pairwise disjoint lines")
         self.stage_marks.append(len(self.gates))
 
     def stages(self) -> list[list[Gate]]:

@@ -29,11 +29,12 @@ GATE_COUNT = {
     "cror": lambda width: width - 1,
 }
 
-# Largest circuit `build` and `verify` will construct, in gates; the largest
+# Largest circuit `build` and `verify` will construct, in gates, and the most
+# gate lines `sim` will read (the netlist parser's own cap); the largest
 # multiplier allowed is n = 418 (1,047,509 gates). Memory and time grow
 # linearly with the gate count: `build mul --n 200` (239,601 gates) peaks at
 # 69 MiB and takes 1.7 s on a 2-vCPU x86-64 host with Python 3.11.
-MAX_GATES = 1 << 20
+MAX_GATES = revio.MAX_GATES
 
 
 def _size(args) -> int:

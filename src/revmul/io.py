@@ -15,7 +15,10 @@ The .rev format is line oriented with `#` comments:
 Registers must cover every line exactly once (bit 0 of a register is its LSB).
 A width above MAX_QUBITS (65,536) is refused, so no netlist can make the
 simulator allocate a state of absurd size; the largest multiplier the
-comparison tables describe (n=1024) has 4,097 lines.
+comparison tables describe (n=1024) has 4,097 lines. Every gate line is
+range-checked against that width, and gate line MAX_GATES + 1 (2^20 + 1) is
+refused, so no netlist can make the parser hold an unbounded gate list; the
+largest multiplier that fits is n = 418.
 The writer emits a canonical form: writing, parsing and writing again is byte
 identical.
 """
@@ -30,6 +33,7 @@ from .sim import VerifyReport
 
 FORMAT_VERSION = 1
 MAX_QUBITS = 1 << 16
+MAX_GATES = 1 << 20  # also the largest circuit `cli` builds
 
 
 class NetlistError(ValueError):
@@ -63,11 +67,13 @@ def _parse_int(token: str, what: str, lineno: int) -> int:
         raise NetlistError(f"{what} must be an integer, got {token!r}", lineno) from None
 
 
+_SEPARATOR = object()  # what a `---` line parses to
+
+
 class _Parser:
     def __init__(self):
         self.width = None
         self.registers: list[Register] = []
-        self.circuit: Circuit | None = None
 
     def _finalize(self, lineno: int | None) -> Circuit:
         if self.width is None:
@@ -80,8 +86,7 @@ class _Parser:
             raise NetlistError(
                 f"registers cover {layout.width} lines, qubits declares {self.width}", lineno
             )
-        self.circuit = Circuit(layout)
-        return self.circuit
+        return Circuit(layout)
 
     def header(self, head, fields, lineno):
         if head == "qubits":
@@ -120,55 +125,81 @@ class _Parser:
             return
         raise NetlistError(f"unknown gate mnemonic or directive {head!r}", lineno)
 
-    def body(self, head, fields, lineno):
-        if self.circuit is None:
-            self._finalize(lineno)
-        if head == "---":
-            if len(fields) != 1:
-                raise NetlistError("stage separator takes no arguments", lineno)
-            try:
-                self.circuit.mark_stage()
-            except ValueError as exc:
-                raise NetlistError(str(exc), lineno) from None
-            return
-        if head not in ARITY:
-            raise NetlistError(f"unknown gate mnemonic or directive {head!r}", lineno)
-        lines = [_parse_int(tok, "line index", lineno) for tok in fields[1:]]
-        try:
-            self.circuit.append(Gate(head, tuple(lines)))
-        except ValueError as exc:
-            raise NetlistError(str(exc), lineno) from None
-
 
 def parse_netlist(text: str) -> Circuit:
-    """Exact inverse of write_netlist; raises NetlistError with line numbers."""
+    """Exact inverse of write_netlist; raises NetlistError with line numbers.
+
+    A line whose exact text was already read as a gate or a `---` reuses that
+    result (a `Gate` is frozen and does not depend on its position), so it
+    skips only tokenizing and the `Gate` checks. Every gate line still passes
+    the range check and the MAX_GATES count, and every `---` the disjointness
+    check of its stage.
+    """
     parser = _Parser()
+    circuit = None
+    cap = MAX_GATES
+    seen: dict[str, object] = {}  # line text -> its Gate, or _SEPARATOR
     saw_version = False
     last_line = None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        entry = seen.get(raw)
+        if entry is None:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            last_line = lineno
+            fields = line.split()
+            head = fields[0]
+            if not saw_version:
+                if head != "rev" or len(fields) != 2:
+                    raise NetlistError("expected version header 'rev 1'", lineno)
+                if fields[1] != str(FORMAT_VERSION):
+                    raise NetlistError(f"unsupported format version {fields[1]!r}", lineno)
+                saw_version = True
+                continue
+            if head in ("qubits", "reg", "anc"):
+                if circuit is not None:
+                    raise NetlistError(f"{head} declaration after the first gate", lineno)
+                parser.header(head, fields, lineno)
+                continue
+            if circuit is None:
+                circuit = parser._finalize(lineno)
+                gates, append, mark_stage = circuit.gates, circuit.append, circuit.mark_stage
+            if head == "---":
+                if len(fields) != 1:
+                    raise NetlistError("stage separator takes no arguments", lineno)
+                entry = _SEPARATOR
+            else:
+                if head not in ARITY:
+                    raise NetlistError(f"unknown gate mnemonic or directive {head!r}", lineno)
+                try:
+                    lines = tuple(map(int, fields[1:]))
+                except ValueError:
+                    for token in fields[1:]:  # word the error for the first bad token
+                        _parse_int(token, "line index", lineno)
+                    raise
+                try:
+                    entry = Gate(head, lines)
+                except ValueError as exc:
+                    raise NetlistError(str(exc), lineno) from None
+            seen[raw] = entry
+        if entry is _SEPARATOR:
+            try:
+                mark_stage()
+            except ValueError as exc:
+                raise NetlistError(str(exc), lineno) from None
             continue
-        last_line = lineno
-        fields = line.split()
-        head = fields[0]
-        if not saw_version:
-            if head != "rev" or len(fields) != 2:
-                raise NetlistError("expected version header 'rev 1'", lineno)
-            if fields[1] != str(FORMAT_VERSION):
-                raise NetlistError(f"unsupported format version {fields[1]!r}", lineno)
-            saw_version = True
-        elif parser.circuit is None and head in ("qubits", "reg", "anc"):
-            parser.header(head, fields, lineno)
-        elif head in ("qubits", "reg", "anc"):
-            raise NetlistError(f"{head} declaration after the first gate", lineno)
-        else:
-            parser.body(head, fields, lineno)
+        if len(gates) == cap:
+            raise NetlistError(f"gate {cap + 1} exceeds the limit of {cap} gates", lineno)
+        try:
+            append(entry)
+        except ValueError as exc:
+            raise NetlistError(str(exc), lineno) from None
     if not saw_version:
         raise NetlistError("expected version header 'rev 1'", last_line)
-    if parser.circuit is None:
-        parser._finalize(last_line)
-    return parser.circuit
+    if circuit is None:
+        circuit = parser._finalize(last_line)
+    return circuit
 
 
 def export_qasm(circuit: Circuit) -> str:

@@ -32,16 +32,20 @@ def asap_depth(circuit: Circuit) -> int:
     line with it; gates on disjoint lines share a layer. A layer costs as much
     as its most expensive gate, and the depth is the sum of layer costs.
     """
-    next_free: dict[int, int] = {}
+    next_free = [0] * circuit.width  # first layer each line is free in
+    free_at = next_free.__getitem__
     layer_costs: list[int] = []
     for gate in circuit.gates:
-        layer = max((next_free.get(line, 0) for line in gate.lines), default=0)
+        lines = gate.lines
+        layer = max(map(free_at, lines))
         if layer == len(layer_costs):
             layer_costs.append(0)
-        if gate.cost > layer_costs[layer]:
-            layer_costs[layer] = gate.cost
-        for line in gate.lines:
-            next_free[line] = layer + 1
+        cost = gate.cost
+        if cost > layer_costs[layer]:
+            layer_costs[layer] = cost
+        layer += 1
+        for line in lines:
+            next_free[line] = layer
     return sum(layer_costs)
 
 

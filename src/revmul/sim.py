@@ -20,7 +20,11 @@ from .synth import build_controlled_ror, build_multiplier, build_ror, multiplier
 
 MAX_COUNTEREXAMPLES = 16
 LANES = 4096  # cases per `run` call in a verification sweep
+# Most lanes x lines one sweep batch may transpose: a wider circuit gets fewer
+# lanes per batch, so a batch's strings and ints stay near 10 MiB at any width.
+BATCH_BITS = 1 << 22
 EXHAUSTIVE_ROTATE_LIMIT = 20  # 2^20 states; beyond that use randomized mode
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # bit values -> binary digits
 
 
 def run(circuit: Circuit, state: list[int], trace: bool = False):
@@ -87,7 +91,7 @@ def pack_state(layout: RegisterLayout, values: dict[str, int]) -> list[int]:
 def register_value(layout: RegisterLayout, state: list[int], name: str) -> int:
     """Integer held by a named register in a basis state (bit 0 = LSB)."""
     reg = layout[name]
-    return sum(state[reg.start + bit] << bit for bit in range(reg.size))
+    return int(bytes(reversed(state[reg.start : reg.end])).translate(_DIGITS), 2)
 
 
 def oracle_rotate_right(bits: list[int]) -> list[int]:
@@ -160,9 +164,10 @@ def _sweep(mode, count, seed, too_big, build, every, draw, entry, want, explain)
     """Check the arguments, `build()` the circuit, then sweep the cases of
     `every()`, or of `draw(rng)` for `count` seeded draws.
 
-    Cases run LANES at a time through one `run` call: `entry(case)` is the
-    whole entry state as an int (bit i = line i), `want(case)` the exit state
-    it must reach. A case that ends anywhere else fails, and
+    Cases run LANES at a time through one `run` call (fewer when LANES times
+    the circuit's width exceeds BATCH_BITS): `entry(case)` is the whole entry
+    state as an int (bit i = line i), `want(case)` the exit state it must
+    reach. A case that ends anywhere else fails, and
     `explain(case, out_bits)` turns it into a counterexample; the first 16 in
     sweep order are kept.
     """
@@ -183,8 +188,9 @@ def _sweep(mode, count, seed, too_big, build, every, draw, entry, want, explain)
         rng = random.Random(seed)
         cases = (case for _ in range(count) for case in draw(rng))
     width = circuit.width
+    lanes = max(1, min(LANES, BATCH_BITS // width))
     counterexamples = report.counterexamples
-    while batch := list(itertools.islice(cases, LANES)):
+    while batch := list(itertools.islice(cases, lanes)):
         out = run(circuit, _transpose([entry(case) for case in batch], width))
         for case, got in zip(batch, _transpose(out, len(batch))):
             if got != want(case) and len(counterexamples) < MAX_COUNTEREXAMPLES:

@@ -2,7 +2,10 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import revmul.cli
 import revmul.io
 from revmul import (
     Circuit,
@@ -23,6 +26,7 @@ from revmul import (
     write_netlist,
 )
 from revmul.analysis import ancilla_rows, formula_metrics
+from revmul.gates import ARITY, Gate
 
 
 # ---------------------------------------------------------------- round trips
@@ -197,3 +201,261 @@ def test_json_stable_key_order():
     b = metrics_json(formula_metrics("ror", 4))
     assert a == b
     assert a.index('"gate_counts"') < a.index('"quantum_cost"') < a.index('"staged_delay"')
+
+
+# ---------------------------------------------------------------- parser against a reference
+
+def reference_parse(text):
+    """The parser as it was before it remembered repeated lines: every line
+    tokenized, every token through `_parse_int`, a fresh `Gate` per line."""
+    parser = _ReferenceParser()
+    saw_version = False
+    last_line = None
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        last_line = lineno
+        fields = line.split()
+        head = fields[0]
+        if not saw_version:
+            if head != "rev" or len(fields) != 2:
+                raise NetlistError("expected version header 'rev 1'", lineno)
+            if fields[1] != str(revmul.io.FORMAT_VERSION):
+                raise NetlistError(f"unsupported format version {fields[1]!r}", lineno)
+            saw_version = True
+        elif parser.circuit is None and head in ("qubits", "reg", "anc"):
+            parser.header(head, fields, lineno)
+        elif head in ("qubits", "reg", "anc"):
+            raise NetlistError(f"{head} declaration after the first gate", lineno)
+        else:
+            parser.body(head, fields, lineno)
+    if not saw_version:
+        raise NetlistError("expected version header 'rev 1'", last_line)
+    if parser.circuit is None:
+        parser._finalize(last_line)
+    return parser.circuit
+
+
+class _ReferenceParser:
+    def __init__(self):
+        self.width = None
+        self.registers = []
+        self.circuit = None
+
+    def _finalize(self, lineno):
+        if self.width is None:
+            raise NetlistError("missing qubits declaration", lineno)
+        try:
+            layout = RegisterLayout(self.registers)
+        except ValueError as exc:
+            raise NetlistError(str(exc), lineno) from None
+        if layout.width != self.width:
+            raise NetlistError(
+                f"registers cover {layout.width} lines, qubits declares {self.width}", lineno
+            )
+        self.circuit = Circuit(layout)
+        return self.circuit
+
+    def header(self, head, fields, lineno):
+        _parse_int = revmul.io._parse_int
+        if head == "qubits":
+            if self.width is not None:
+                raise NetlistError("duplicate qubits declaration", lineno)
+            if len(fields) != 2:
+                raise NetlistError("qubits takes exactly one argument", lineno)
+            self.width = _parse_int(fields[1], "width", lineno)
+            if self.width < 1:
+                raise NetlistError(f"width must be positive, got {self.width}", lineno)
+            if self.width > revmul.io.MAX_QUBITS:
+                raise NetlistError(
+                    f"width {self.width} exceeds the limit of {revmul.io.MAX_QUBITS} lines",
+                    lineno,
+                )
+            return
+        want = 4 if head == "reg" else 5
+        if len(fields) != want:
+            raise NetlistError(f"malformed {head} declaration", lineno)
+        name = fields[1]
+        if any(r.name == name for r in self.registers):
+            raise NetlistError(f"duplicate register name {name!r}", lineno)
+        lo = _parse_int(fields[2], "register lo", lineno)
+        hi = _parse_int(fields[3], "register hi", lineno)
+        if hi < lo:
+            raise NetlistError(f"register {name} has hi {hi} < lo {lo}", lineno)
+        const = None
+        if head == "anc":
+            const = _parse_int(fields[4], "ancilla constant", lineno)
+            if const not in (0, 1):
+                raise NetlistError(f"ancilla constant must be 0 or 1, got {const}", lineno)
+        try:
+            self.registers.append(Register(name, lo, hi - lo + 1, const))
+        except ValueError as exc:
+            raise NetlistError(str(exc), lineno) from None
+
+    def body(self, head, fields, lineno):
+        if self.circuit is None:
+            self._finalize(lineno)
+        if head == "---":
+            if len(fields) != 1:
+                raise NetlistError("stage separator takes no arguments", lineno)
+            try:
+                self.circuit.mark_stage()
+            except ValueError as exc:
+                raise NetlistError(str(exc), lineno) from None
+            return
+        if head not in ARITY:
+            raise NetlistError(f"unknown gate mnemonic or directive {head!r}", lineno)
+        lines = [revmul.io._parse_int(tok, "line index", lineno) for tok in fields[1:]]
+        try:
+            self.circuit.append(Gate(head, tuple(lines)))
+        except ValueError as exc:
+            raise NetlistError(str(exc), lineno) from None
+
+
+def outcome(parse, text):
+    """What a parser makes of the text: the circuit's parts, or its error."""
+    try:
+        circ = parse(text)
+    except NetlistError as exc:
+        return ("error", str(exc), exc.line)
+    gates = [(gate.kind, gate.lines) for gate in circ.gates]
+    return ("ok", circ.layout.registers, gates, circ.stage_marks)
+
+
+BASES = {
+    f"{name}{size}": write_netlist(builder(size))
+    for name, builder, sizes in (
+        ("mul", build_multiplier, (1, 2, 3)),
+        ("ror", build_ror, (2, 5)),
+        ("cror", build_controlled_ror, (4,)),
+    )
+    for size in sizes
+}
+
+JUNK = ["x", "-1", "1.5", "+2", "0x1", "99", "4096", "1_0", "٣", "---", "#", "rev", "ccx"]
+
+
+@st.composite
+def mutated_netlists(draw):
+    lines = BASES[draw(st.sampled_from(sorted(BASES)))].splitlines()
+    first_gate = next(i for i, line in enumerate(lines) if line.split()[0] in ARITY)
+    for _ in range(draw(st.integers(0, 5))):
+        # most mutations hit the gates, one in ten may hit the declarations
+        lo = 0 if draw(st.integers(0, 9)) == 0 else min(first_gate, len(lines) - 1)
+        at = draw(st.integers(lo, len(lines)))
+        pick = draw(st.integers(max(lo, 0), len(lines) - 1)) if lines else None
+        kind = draw(
+            st.sampled_from(
+                ["drop", "duplicate", "swap", "token", "separator", "comment", "blank", "repeat"]
+            )
+        )
+        if kind == "drop" and pick is not None:
+            del lines[pick]
+        elif kind == "duplicate" and pick is not None:
+            lines.insert(at, lines[pick])
+        elif kind == "swap" and pick is not None and at < len(lines):
+            lines[pick], lines[at] = lines[at], lines[pick]
+        elif kind == "token" and pick is not None:
+            fields = lines[pick].split() or [""]
+            index = draw(st.integers(0, len(fields)))
+            token = draw(st.sampled_from(JUNK) | st.integers(-3, 300).map(str))
+            fields[index:index + draw(st.integers(0, 1))] = [token]
+            lines[pick] = " ".join(fields)
+        elif kind == "separator":
+            lines.insert(at, draw(st.sampled_from(["--- 1", "--- x", "---", " ---  "])))
+        elif kind == "comment":
+            lines.insert(at, draw(st.sampled_from(["# note", "   # indented", "#"])))
+        elif kind == "blank":
+            lines.insert(at, draw(st.sampled_from(["", "   ", "\t"])))
+        elif kind == "repeat" and pick is not None:
+            note = draw(st.sampled_from(["", " ", " # again", "# tight", "  #  other"]))
+            lines.insert(at, lines[pick] + note)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_netlists())
+def test_parser_matches_reference_on_mutated_netlists(text):
+    assert outcome(parse_netlist, text) == outcome(reference_parse, text)
+
+
+HEAD = "rev 1\nqubits 3\nreg R 0 2\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "expected version header 'rev 1'"),
+        ("qubits 2\n", "line 1: expected version header 'rev 1'"),
+        ("rev 1 2\n", "line 1: expected version header 'rev 1'"),
+        ("# c\nrev 2\n", "line 2: unsupported format version '2'"),
+        ("rev 1\nqubits 2\nqubits 2\n", "line 3: duplicate qubits declaration"),
+        ("rev 1\nqubits 2 3\n", "line 2: qubits takes exactly one argument"),
+        ("rev 1\nqubits two\n", "line 2: width must be an integer, got 'two'"),
+        ("rev 1\nqubits 0\n", "line 2: width must be positive, got 0"),
+        ("rev 1\nqubits 65537\n", "line 2: width 65537 exceeds the limit of 65536 lines"),
+        ("rev 1\nqubits 2\nreg R 0\n", "line 3: malformed reg declaration"),
+        ("rev 1\nqubits 2\nanc Z 0 1\n", "line 3: malformed anc declaration"),
+        ("rev 1\nqubits 2\nreg R 0 0\nreg R 1 1\n", "line 4: duplicate register name 'R'"),
+        ("rev 1\nqubits 2\nreg R a 1\n", "line 3: register lo must be an integer, got 'a'"),
+        ("rev 1\nqubits 2\nreg R 0 b\n", "line 3: register hi must be an integer, got 'b'"),
+        ("rev 1\nqubits 2\nreg R 1 0\n", "line 3: register R has hi 0 < lo 1"),
+        ("rev 1\nqubits 2\nanc Z 0 1 c\n", "line 3: ancilla constant must be an integer, got 'c'"),
+        ("rev 1\nqubits 2\nanc Z 0 1 2\n", "line 3: ancilla constant must be 0 or 1, got 2"),
+        ("rev 1\nqubits 2\nreg R -1 0\n", "line 3: bad register span R: start=-1 size=2"),
+        ("rev 1\nreg R 0 1\nswap 0 1\n", "line 3: missing qubits declaration"),
+        ("rev 1\nreg R 0 1\n", "line 2: missing qubits declaration"),
+        ("rev 1\nqubits 3\nreg A 0 0\nreg B 2 2\n---\n", "line 5: layout gap before register B at line 1"),
+        ("rev 1\nqubits 3\nreg A 0 1\nreg B 1 2\n", "line 4: register B overlaps a previous register"),
+        ("rev 1\nqubits 3\nreg A 0 1\n", "line 3: registers cover 2 lines, qubits declares 3"),
+        (HEAD + "swap 0 1\nreg S 3 3\n", "line 5: reg declaration after the first gate"),
+        (HEAD + "swap 0 1\nqubits 4\n", "line 5: qubits declaration after the first gate"),
+        (HEAD + "swap 0 1\n--- 1\n", "line 5: stage separator takes no arguments"),
+        (HEAD + "---\n", "line 4: empty stage"),
+        (HEAD + "swap 0 1\n---\n---\n", "line 6: empty stage"),
+        (HEAD + "swap 0 1\ncx 1 2\n---\n", "line 6: stage gates must act on pairwise disjoint lines"),
+        (HEAD + "swap 0 1\n---\nswap 0 1\nswap 0 1\n---\n",
+         "line 8: stage gates must act on pairwise disjoint lines"),
+        (HEAD + "cnot 0 1\n", "line 4: unknown gate mnemonic or directive 'cnot'"),
+        (HEAD + "ccx 0 x y\n", "line 4: line index must be an integer, got 'x'"),
+        (HEAD + "cx 0 1 2\n", "line 4: cx takes 2 lines, got 3"),
+        (HEAD + "cx\n", "line 4: cx takes 2 lines, got 0"),
+        (HEAD + "cx -1 0\n", "line 4: negative line index in cx gate: (-1, 0)"),
+        (HEAD + "ccx 0 0 1\n", "line 4: duplicate line index in ccx gate: (0, 0, 1)"),
+        (HEAD + "swap -1 -1\n", "line 4: negative line index in swap gate: (-1, -1)"),
+        (HEAD + "cx 0 3\n", "line 4: gate cx (0, 3) out of range for width 3"),
+        (HEAD + "cx 0 1\ncx 0 1 # same gate\ncx 2 3\n",
+         "line 6: gate cx (2, 3) out of range for width 3"),
+    ],
+)
+def test_error_messages_are_pinned(text, message):
+    assert err(text) == message
+    with pytest.raises(NetlistError) as info:
+        reference_parse(text)
+    assert str(info.value) == message
+
+
+def test_gate_line_cap(monkeypatch):
+    assert revmul.cli.MAX_GATES is revmul.io.MAX_GATES == 1 << 20
+    monkeypatch.setattr(revmul.io, "MAX_GATES", 3)
+    gates = "swap 0 1\n---\nswap 0 1\n---\ncx 1 2\n"
+    assert len(parse_netlist(HEAD + gates)) == 3  # separators do not count
+    # the fourth gate line is refused whether it repeats an earlier line or not
+    for extra in ("swap 0 1", "ccx 0 1 2", "cx 1 2 # again"):
+        assert err(HEAD + gates + extra + "\n") == "line 9: gate 4 exceeds the limit of 3 gates"
+    assert len(parse_netlist(HEAD + gates + "---\n# done\n\n")) == 3
+
+
+def test_sim_refuses_a_netlist_above_the_gate_cap(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(revmul.io, "MAX_GATES", 2)
+    path = tmp_path / "long.rev"
+    path.write_text(HEAD + "swap 0 1\nswap 0 1\nswap 0 1\n")
+    assert revmul.cli.main(["sim", str(path), "--set", "R=1"]) == 2
+    assert "line 6: gate 3 exceeds the limit of 2 gates" in capsys.readouterr().err
+
+
+def test_repeated_lines_share_one_gate():
+    circ = parse_netlist(BASES["mul3"])
+    assert circ == build_multiplier(3)
+    assert len({id(gate) for gate in circ.gates}) < len(circ.gates)

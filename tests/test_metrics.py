@@ -8,6 +8,7 @@ from revmul import (
     RegisterLayout,
     asap_depth,
     build_addnop,
+    build_controlled_ror,
     build_multiplier,
     build_ror,
     cnot,
@@ -141,3 +142,39 @@ def test_staged_delay_matches_stage_list_sum(circ):
 def test_staged_delay_trailing_gates_each_a_stage():
     # stages [cx, ccx] and [swap], then four unmarked gates of their own
     assert staged_delay(mixed_circuit((2, 3))) == 5 + 3 + 5 + 3 + 1 + 5
+
+
+def reference_asap_depth(circuit):
+    """`asap_depth` as it was with a dict of next free layers."""
+    next_free = {}
+    layer_costs = []
+    for gate in circuit.gates:
+        layer = max((next_free.get(line, 0) for line in gate.lines), default=0)
+        if layer == len(layer_costs):
+            layer_costs.append(0)
+        if gate.cost > layer_costs[layer]:
+            layer_costs[layer] = gate.cost
+        for line in gate.lines:
+            next_free[line] = layer + 1
+    return sum(layer_costs)
+
+
+@pytest.mark.parametrize(
+    "circ",
+    [
+        scratch(3),
+        mixed_circuit(()),
+        build_addnop(5),
+        build_ror(9),
+        build_controlled_ror(8),
+        build_multiplier(4),
+    ],
+)
+def test_asap_depth_matches_reference(circ):
+    assert asap_depth(circ) == reference_asap_depth(circ)
+
+
+def test_asap_depth_matches_reference_on_multipliers():
+    for n in range(1, 41):
+        circ = build_multiplier(n)
+        assert asap_depth(circ) == reference_asap_depth(circ), n

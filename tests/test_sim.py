@@ -10,12 +10,14 @@ from revmul import (
     Register,
     RegisterLayout,
     VerifyReport,
+    addnop_layout,
     build_addnop,
     build_controlled_ror,
     build_multiplier,
     build_ror,
     cnot,
     fredkin,
+    multiplier_layout,
     oracle_multiply,
     oracle_rotate_right,
     pack_state,
@@ -563,3 +565,53 @@ def test_reports_do_not_depend_on_the_batch_size(monkeypatch, lanes):
     assert want_mul == reference_report(
         "exhaustive", None, reference_multiplier_examples(3, damaged, "exhaustive")
     )
+
+
+def test_sweep_batches_stay_within_the_bit_budget(monkeypatch):
+    width = 40_000
+    sizes = []
+
+    def transpose(rows, bits):
+        sizes.append(len(rows) * bits)
+        assert len(rows) * bits <= sim.BATCH_BITS
+        return real(rows, bits)
+
+    real = sim._transpose
+    monkeypatch.setattr(sim, "_transpose", transpose)
+    report = verify_rotate(width, mode="random", count=250, seed=4)
+    assert report.ok and report.checked == 250
+    lanes = sim.BATCH_BITS // width
+    assert lanes < sim.LANES
+    # entry and exit transpositions of two full batches and one partial batch
+    assert sizes == [lanes * width] * 4 + [(250 - 2 * lanes) * width] * 2
+
+
+# ---------------------------------------------------------------- register readout
+
+def reference_register_value(layout, state, name):
+    """The per-bit sum `register_value` computed before it read through bytes."""
+    reg = layout[name]
+    return sum(state[reg.start + bit] << bit for bit in range(reg.size))
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        multiplier_layout(5),
+        addnop_layout(4),
+        build_ror(9).layout,
+        build_controlled_ror(6).layout,
+        multiplier_layout(64),
+    ],
+    ids=["mul5", "addnop4", "ror9", "cror6", "mul64"],
+)
+def test_register_value_matches_per_bit_sum(layout):
+    rng = random.Random(layout.width)
+    for _ in range(50):
+        state = [rng.getrandbits(1) for _ in range(layout.width)]
+        for reg in layout.registers:
+            got = register_value(layout, state, reg.name)
+            assert got == reference_register_value(layout, state, reg.name)
+    ones = [1] * layout.width
+    for reg in layout.registers:
+        assert register_value(layout, ones, reg.name) == (1 << reg.size) - 1
