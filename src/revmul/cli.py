@@ -36,6 +36,12 @@ GATE_COUNT = {
 # 69 MiB and takes 1.7 s on a 2-vCPU x86-64 host with Python 3.11.
 MAX_GATES = revio.MAX_GATES
 
+# Largest random sweep `verify` will run: no more cases, and no more cases x
+# gates, than the largest exhaustive sweep (every pair of the multiplier at
+# the exhaustive limit, 2^24 pairs through 841 gates).
+MAX_RANDOM_CASES = 1 << (2 * sim.EXHAUSTIVE_MULTIPLIER_LIMIT)
+MAX_RANDOM_WORK = MAX_RANDOM_CASES * GATE_COUNT["mul"](sim.EXHAUSTIVE_MULTIPLIER_LIMIT)
+
 
 def _size(args) -> int:
     """The block's size flag, refused before anything is built when its
@@ -122,6 +128,12 @@ def cmd_verify(args) -> int:
         # default: exhaustive while the sweep stays small, randomized above
         threshold = 5 if args.block == "mul" else 12
         mode, count = ("exhaustive", 0) if size <= threshold else ("random", 1000)
+    gates = GATE_COUNT[args.block](size)
+    if count > MAX_RANDOM_CASES or count * gates > MAX_RANDOM_WORK:
+        raise ValueError(
+            f"--random {count} on a {gates}-gate circuit exceeds the largest exhaustive sweep: "
+            f"at most {MAX_RANDOM_CASES} cases and {MAX_RANDOM_WORK} cases x gates"
+        )
     seed = args.seed if args.seed is not None else _default_seed()
     if args.block == "mul":
         report = sim.verify_multiplier(size, mode=mode, count=count, seed=seed)

@@ -6,13 +6,18 @@ FSE 1997): each line holds one int whose bit k is that line's value in lane
 k, so a Toffoli is `t ^= c1 & c2` on whole ints and one pass over the gates
 simulates every lane at once. `run` is the only gate kernel, and both
 verifiers share one sweep, `_sweep`, which packs up to LANES cases into each
-`run` call; each verifier adds only its size limit, its cases, and each
-case's entry state, wanted exit state and counterexample.
+`run` call. The references are bit-sliced too: each verifier computes the
+wanted exit state of a whole batch on the same lane ints (for the multiplier,
+a schoolbook product cross-checked against the add-and-rotate recurrence of
+`oracle_multiply`), so a sweep does no Python work per case, and an
+exhaustive sweep does not even build its cases one by one.
 """
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .circuit import Circuit, RegisterLayout
 from .gates import FREDKIN, SWAP, TOFFOLI
@@ -23,6 +28,7 @@ LANES = 4096  # cases per `run` call in a verification sweep
 # Most lanes x lines one sweep batch may transpose: a wider circuit gets fewer
 # lanes per batch, so a batch's strings and ints stay near 10 MiB at any width.
 BATCH_BITS = 1 << 22
+EXHAUSTIVE_MULTIPLIER_LIMIT = 12  # 2^24 pairs, about 1.5 s; beyond that use randomized mode
 EXHAUSTIVE_ROTATE_LIMIT = 20  # 2^20 states; beyond that use randomized mode
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # bit values -> binary digits
 
@@ -113,7 +119,8 @@ def oracle_multiply(n: int, a: int, b: int) -> int:
     """Register-level add-and-rotate product of two n-bit integers.
 
     This is the behavioral model the gate-level multiplier is checked
-    against; it must agree with native integer multiplication everywhere.
+    against (the verifier runs it bit-sliced, as `_lane_add_and_rotate`); it
+    must agree with native integer multiplication everywhere.
     """
     if n < 1:
         raise ValueError(f"operand width must be >= 1, got {n}")
@@ -128,6 +135,44 @@ def oracle_multiply(n: int, a: int, b: int) -> int:
         p = (p >> 1) | ((p & 1) << (2 * n - 1))
     if (a >> (n - 1)) & 1:
         p = _window_add(p, b, n)
+    return p
+
+
+def _ripple_add(p: list[int], start: int, a_bit: int, b: list[int]) -> int:
+    # Bit-sliced: add a_bit & b into the lane ints p[start : start+len(b)+1]
+    # in place, one full adder per bit of b; return the lanes whose carry
+    # leaves the top of that slice.
+    carry = 0
+    for k, b_bit in enumerate(b, start):
+        x, y = p[k], a_bit & b_bit
+        t = x ^ y
+        p[k] = t ^ carry
+        carry = x & y | t & carry
+    top = start + len(b)
+    overflow = p[top] & carry
+    p[top] ^= carry
+    return overflow
+
+
+def _lane_product(a: list[int], b: list[int]) -> list[int]:
+    """Schoolbook product of lane-packed operands: a and b hold one lane int
+    per bit (LSB first); the 2n lane ints returned hold a*b in every lane."""
+    p = [0] * (2 * len(a))
+    for i, a_bit in enumerate(a):
+        _ripple_add(p, i, a_bit, b)
+    return p
+
+
+def _lane_add_and_rotate(a: list[int], b: list[int]) -> list[int]:
+    """`oracle_multiply` on lane-packed operands: each window add is a ripple
+    add, each rotate right a rotation of the list of lane ints."""
+    n = len(a)
+    p = [0] * (2 * n)
+    for i, a_bit in enumerate(a):
+        overflow = _ripple_add(p, n - 1, a_bit, b)
+        assert not overflow, "window overflow: carry slot was not clear"
+        if i < n - 1:
+            p = p[1:] + p[:1]
     return p
 
 
@@ -152,24 +197,58 @@ def _transpose(rows: list[int], bits: int) -> list[int]:
     """Transpose a bit matrix: `bits` ints out, bit k of out[j] = bit j of rows[k].
 
     Turns whole-state ints (one per lane) into a lane-packed state (one int per
-    line) and back. The bits move through strings at C speed: one binary row
-    per input int, one stride slice per output int.
+    line). The bits move through strings at C speed: one binary row per input
+    int, one stride slice per output int.
     """
     spec = f"0{bits}b"
     text = "".join([format(row, spec) for row in reversed(rows)])
     return [int(text[bits - 1 - j :: bits], 2) for j in range(bits)]
 
 
-def _sweep(mode, count, seed, too_big, build, every, draw, entry, want, explain) -> VerifyReport:
-    """Check the arguments, `build()` the circuit, then sweep the cases of
-    `every()`, or of `draw(rng)` for `count` seeded draws.
+def _exhaustive_batches(drive: list, lanes: int):
+    """Lane-packed entry states of every case in sweep order, with the number
+    of cases in each, a power of two no larger than `lanes` per batch.
+
+    Case k drives line j with bit drive[j] of k (or 0 where drive[j] is
+    None), so there are 2^(driven lines) cases. Within a batch of 2^s
+    consecutive cases that starts at a multiple of 2^s, index bit i < s
+    follows the same pattern in every batch, 2^i zeros then 2^i ones across
+    the lanes, repeated; every higher bit is all zeros or all ones.
+    """
+    bits = sum(d is not None for d in drive)
+    s = min(lanes.bit_length() - 1, bits)
+    full = (1 << (1 << s)) - 1
+    # one period of bit i, 2^i zeros then 2^i ones, times 1 + 2^(2^(i+1)) + ...
+    patterns = [
+        full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i)) for i in range(s)
+    ]
+    for start in range(0, 1 << bits, 1 << s):
+        state = [
+            0 if d is None else patterns[d] if d < s else full * (start >> d & 1) for d in drive
+        ]
+        yield state, 1 << s
+
+
+def _random_batches(entries, width: int, lanes: int):
+    """Lane-packed entry states of the whole-state ints `entries`, `lanes` at
+    a time, with the number of cases in each."""
+    while batch := list(itertools.islice(entries, lanes)):
+        yield _transpose(batch, width), len(batch)
+
+
+def _sweep(mode, count, seed, too_big, build, drive, draw, want, explain) -> VerifyReport:
+    """Check the arguments, `build()` the circuit, then sweep every case the
+    lines of `drive` span (see `_exhaustive_batches`), or `count` seeded
+    draws of `draw(rng)`, a list of whole entry states as ints (bit i =
+    line i).
 
     Cases run LANES at a time through one `run` call (fewer when LANES times
-    the circuit's width exceeds BATCH_BITS): `entry(case)` is the whole entry
-    state as an int (bit i = line i), `want(case)` the exit state it must
-    reach. A case that ends anywhere else fails, and
-    `explain(case, out_bits)` turns it into a counterexample; the first 16 in
-    sweep order are kept.
+    the circuit's width exceeds BATCH_BITS). `want(state)` takes a batch's
+    lane-packed entry state and returns the lane-packed exit state it must
+    reach, plus an int whose set bits are lanes the references disagree on;
+    those lanes and every lane that ends anywhere else fail. The lowest
+    failing lanes are the first in sweep order: `explain(entry, out_bits)`
+    turns the first 16 into counterexamples.
     """
     if mode == "exhaustive":
         if too_big:
@@ -182,20 +261,24 @@ def _sweep(mode, count, seed, too_big, build, every, draw, entry, want, explain)
     else:
         raise ValueError(f"unknown verification mode {mode!r}")
     circuit = build()
-    if mode == "exhaustive":
-        cases = iter(every())
-    else:
-        rng = random.Random(seed)
-        cases = (case for _ in range(count) for case in draw(rng))
     width = circuit.width
     lanes = max(1, min(LANES, BATCH_BITS // width))
+    if mode == "exhaustive":
+        batches = _exhaustive_batches(drive, lanes)
+    else:
+        rng = random.Random(seed)
+        batches = _random_batches((e for _ in range(count) for e in draw(rng)), width, lanes)
     counterexamples = report.counterexamples
-    while batch := list(itertools.islice(cases, lanes)):
-        out = run(circuit, _transpose([entry(case) for case in batch], width))
-        for case, got in zip(batch, _transpose(out, len(batch))):
-            if got != want(case) and len(counterexamples) < MAX_COUNTEREXAMPLES:
-                counterexamples.append(explain(case, [(got >> i) & 1 for i in range(width)]))
-        report.checked += len(batch)
+    for state, size in batches:
+        out = run(circuit, state)
+        expected, disagree = want(state)
+        failed = reduce(operator.or_, map(operator.xor, out, expected), disagree)
+        while failed and len(counterexamples) < MAX_COUNTEREXAMPLES:
+            lane = (failed & -failed).bit_length() - 1
+            failed &= failed - 1
+            entry = int(bytes([line >> lane & 1 for line in reversed(state)]).translate(_DIGITS), 2)
+            counterexamples.append(explain(entry, [line >> lane & 1 for line in out]))
+        report.checked += size
     report.ok = not counterexamples
     report.garbage_outputs = 0 if report.ok else None
     return report
@@ -212,37 +295,41 @@ def verify_multiplier(
 
     For each operand pair: load A, B with the operands and P, Zcin with 0,
     run the circuit and require P = A*B with A, B and Zcin unchanged. The
-    behavioral oracle is cross-checked on the same pairs. Exhaustive mode
-    sweeps all 2^(2n) pairs and is limited to n <= 6; random mode draws
-    `count` seeded pairs. Pass `circuit` to point the harness at a
-    replacement netlist (for example a deliberately damaged one) over the
-    n-bit multiplier's layout.
+    wanted product is a bit-sliced schoolbook product, cross-checked on the
+    same pairs against the bit-sliced add-and-rotate recurrence of
+    `oracle_multiply`; a pair the two disagree on fails. Exhaustive mode
+    sweeps all 2^(2n) pairs and is limited to n <= EXHAUSTIVE_MULTIPLIER_LIMIT
+    (12); random mode draws `count` seeded pairs. Pass `circuit` to point the
+    harness at a replacement netlist (for example a deliberately damaged one)
+    over the n-bit multiplier's layout.
     """
     if circuit is not None and circuit.layout != multiplier_layout(n):
         raise ValueError(f"circuit layout {circuit.layout!r} is not the n={n} multiplier's")
+    mask = (1 << n) - 1
 
-    def want(pair):
-        a, b = pair
-        if oracle_multiply(n, a, b) != a * b:
-            return None  # matches no exit state, so the pair fails
-        return a | b << n | a * b << 2 * n  # lines A, B, P, then Zcin = 0
+    def want(state):
+        a, b = state[:n], state[n : 2 * n]
+        product = _lane_product(a, b)
+        disagree = reduce(operator.or_, map(operator.xor, product, _lane_add_and_rotate(a, b)), 0)
+        return a + b + product + [0], disagree  # lines A, B, P, then Zcin = 0
 
-    def explain(pair, out):
-        a, b = pair
+    def explain(entry, out):
+        a, b = entry & mask, entry >> n & mask
         layout = multiplier_layout(n)
         got = {name: register_value(layout, out, name) for name in ("P", "A", "B", "Zcin")}
         expected = {"P": a * b, "A": a, "B": b, "Zcin": 0}
         return {"a": a, "b": b, "expected": expected, "got": got}
 
+    limit = EXHAUSTIVE_MULTIPLIER_LIMIT
     return _sweep(
         mode,
         count,
         seed,
-        "exhaustive verification is limited to n <= 6" if n > 6 else None,
+        f"exhaustive verification is limited to n <= {limit}" if n > limit else None,
         lambda: build_multiplier(n) if circuit is None else circuit,
-        lambda: itertools.product(range(1 << n), repeat=2),
-        lambda rng: [(rng.randrange(1 << n), rng.randrange(1 << n))],
-        lambda pair: pair[0] | pair[1] << n,
+        # pair (a, b) is case a * 2^n + b: B takes the low index bits
+        [*range(n, 2 * n), *range(n), *[None] * (2 * n + 1)],
+        lambda rng: [rng.randrange(1 << n) | rng.randrange(1 << n) << n],
         want,
         explain,
     )
@@ -261,28 +348,26 @@ def verify_rotate(
     controlled variant must equal it when the control is 1 and the identity
     when it is 0, with the control line itself preserved.
     """
-    controls = (0, 1) if controlled else (None,)
+    controls = (0, 1) if controlled else (0,)
 
-    def entry(case):
-        value, control = case
-        return value if control is None else value | control << width
+    def want(state):
+        rotated = state[1:width] + state[:1]
+        if controlled:
+            control = state[width]
+            rotated = [x ^ (x ^ r) & control for x, r in zip(state, rotated)] + [control]
+        return rotated, 0
 
-    def want(case):
-        value, control = case
-        if control != 0:
-            value = value >> 1 | (value & 1) << (width - 1)
-        return entry((value, control))
-
-    def explain(case, out):
-        value, control = case
-        window = [(value >> i) & 1 for i in range(width)]
+    def explain(entry, out):
+        value = entry & ((1 << width) - 1)
+        control = entry >> width if controlled else None
+        window = [int(digit) for digit in reversed(format(value, f"0{width}b"))]
         tail = [] if control is None else [control]
         expected = (window if control == 0 else oracle_rotate_right(window)) + tail
         return {"input": value, "control": control, "expected": expected, "got": out}
 
     def draw(rng):
         value = rng.getrandbits(width)
-        return [(value, control) for control in controls]
+        return [value | control << width for control in controls]
 
     limit = EXHAUSTIVE_ROTATE_LIMIT
     return _sweep(
@@ -291,9 +376,9 @@ def verify_rotate(
         seed,
         f"exhaustive rotate verification is limited to width <= {limit}" if width > limit else None,
         lambda: build_controlled_ror(width) if controlled else build_ror(width),
-        lambda: itertools.product(range(1 << width), controls),
+        # case (value, control) is value * 2 + control: the control takes bit 0
+        [*range(1, width + 1), 0] if controlled else list(range(width)),
         draw,
-        entry,
         want,
         explain,
     )

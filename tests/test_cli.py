@@ -76,6 +76,29 @@ def test_size_limit_boundary():
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "ror", "--width", "2", "--random", "1000000000000"],
+        ["verify", "ror", "--width", "2", "--random", str(2**24 + 1)],
+        ["verify", "cror", "--width", "1000", "--random", "14200000"],  # below 2^24 cases
+        ["verify", "mul", "--n", "418", "--random", "13470"],
+    ],
+)
+def test_oversized_random_sweep_refused_before_building(argv, no_builders, capsys):
+    assert main(argv) == 2
+    assert "exceeds the largest exhaustive sweep" in capsys.readouterr().err
+
+
+def test_random_sweep_limit_is_the_largest_exhaustive_sweep(no_builders, capsys):
+    assert cli.MAX_RANDOM_CASES == 2**24 and cli.MAX_RANDOM_WORK == 2**24 * 841
+    gates = cli.GATE_COUNT["mul"](418)
+    assert 13469 * gates <= cli.MAX_RANDOM_WORK < 13470 * gates
+    # an oversized circuit is refused for its size first
+    assert main(["verify", "mul", "--n", "419", "--random", "1000000000000"]) == 2
+    assert f"above the limit of {MAX_GATES}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "block,size",
     [("mul", 1), ("mul", 2), ("mul", 7), ("addnop", 1), ("addnop", 5), ("ror", 2), ("ror", 9), ("cror", 6)],
 )

@@ -204,8 +204,8 @@ def test_verify_multiplier_seed_reproducible():
 
 
 def test_verify_multiplier_exhaustive_cap():
-    with pytest.raises(ValueError, match="n <= 6"):
-        verify_multiplier(7, mode="exhaustive")
+    with pytest.raises(ValueError, match="n <= 12"):
+        verify_multiplier(13, mode="exhaustive")
 
 
 def test_verify_multiplier_bad_mode():
@@ -234,7 +234,7 @@ def test_verify_checks_arguments_before_building(monkeypatch):
     for name in ("build_multiplier", "build_ror", "build_controlled_ror"):
         monkeypatch.setattr(sim, name, refuse)
     verifiers = (
-        (verify_multiplier, 7),
+        (verify_multiplier, 13),
         (verify_rotate, 300000),
         (functools.partial(verify_rotate, controlled=True), 300000),
     )
@@ -582,8 +582,8 @@ def test_sweep_batches_stay_within_the_bit_budget(monkeypatch):
     assert report.ok and report.checked == 250
     lanes = sim.BATCH_BITS // width
     assert lanes < sim.LANES
-    # entry and exit transpositions of two full batches and one partial batch
-    assert sizes == [lanes * width] * 4 + [(250 - 2 * lanes) * width] * 2
+    # entry transpositions of two full batches and one partial batch
+    assert sizes == [lanes * width] * 2 + [(250 - 2 * lanes) * width]
 
 
 # ---------------------------------------------------------------- register readout
@@ -615,3 +615,114 @@ def test_register_value_matches_per_bit_sum(layout):
     ones = [1] * layout.width
     for reg in layout.registers:
         assert register_value(layout, ones, reg.name) == (1 << reg.size) - 1
+
+
+# ---------------------------------------------------------------- bit-sliced references
+
+def test_exhaustive_n7_counterexamples_match_a_per_case_reference():
+    # the damaged multiplier first fails at a = 64, after two passing batches
+    n = 7
+    damaged = _drop_last_gate(build_multiplier(n))
+    failures = []
+    names = ("P", "A", "B", "Zcin")
+    for a, b in itertools.product(range(1 << n), repeat=2):
+        out = reference_run(damaged, pack_state(damaged.layout, {"A": a, "B": b}))
+        got = {name: register_value(damaged.layout, out, name) for name in names}
+        expected = {"P": a * b, "A": a, "B": b, "Zcin": 0}
+        if got != expected or oracle_multiply(n, a, b) != a * b:
+            failures.append({"a": a, "b": b, "expected": expected, "got": got})
+            if len(failures) == sim.MAX_COUNTEREXAMPLES:
+                break
+    assert (failures[0]["a"] << n) + failures[0]["b"] >= 2 * sim.LANES
+    report = verify_multiplier(n, circuit=damaged)
+    assert report == VerifyReport(
+        ok=False, checked=1 << 2 * n, mode="exhaustive", counterexamples=failures
+    )
+
+
+def pack_lanes(values, bits):
+    """Lane-pack integers: bit k of line i is bit i of values[k]."""
+    return [sum((value >> i & 1) << k for k, value in enumerate(values)) for i in range(bits)]
+
+
+def unpack_lanes(state, lanes):
+    """Whole-state int of each lane of a lane-packed state (bit i = line i)."""
+    return [sum((line >> k & 1) << i for i, line in enumerate(state)) for k in range(lanes)]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_bit_sliced_references_equal_per_pair_products(data):
+    n = data.draw(st.integers(1, 16), label="n")
+    operand = st.integers(0, (1 << n) - 1)
+    pairs = data.draw(st.lists(st.tuples(operand, operand), min_size=1, max_size=70), label="pairs")
+    a = pack_lanes([a for a, _ in pairs], n)
+    b = pack_lanes([b for _, b in pairs], n)
+    assert unpack_lanes(sim._lane_product(a, b), len(pairs)) == [a * b for a, b in pairs]
+    assert unpack_lanes(sim._lane_add_and_rotate(a, b), len(pairs)) == [
+        oracle_multiply(n, a, b) for a, b in pairs
+    ]
+
+
+@pytest.mark.parametrize(
+    "block, size, lanes",
+    [
+        ("mul", 3, 3), ("mul", 7, None),
+        ("ror", 6, 3), ("ror", 13, None),
+        ("cror", 5, 3), ("cror", 12, None),
+    ],
+)
+def test_exhaustive_lane_patterns_follow_product_order(monkeypatch, block, size, lanes):
+    states = []
+
+    def recording_run(circuit, state, trace=False):
+        states.append(list(state))
+        return real_run(circuit, state, trace)
+
+    real_run = sim.run
+    monkeypatch.setattr(sim, "run", recording_run)
+    if lanes is not None:
+        monkeypatch.setattr(sim, "LANES", lanes)
+    if block == "mul":
+        report = verify_multiplier(size)
+        want = [a | b << size for a, b in itertools.product(range(1 << size), repeat=2)]
+    else:
+        controls = (0, 1) if block == "cror" else (0,)
+        report = verify_rotate(size, controlled=block == "cror")
+        want = [value | c << size for value, c in itertools.product(range(1 << size), controls)]
+    assert report.ok and report.checked == len(want)
+    batch = 2 if lanes == 3 else min(sim.LANES, len(want))  # largest power of two within LANES
+    assert len(states) == len(want) // batch
+    assert [entry for state in states for entry in unpack_lanes(state, batch)] == want
+
+
+def test_a_broken_recurrence_fails_exactly_the_pairs_it_breaks(monkeypatch):
+    # flip product bit 0 of the recurrence in the lanes where a and b are odd
+    def broken(a, b):
+        p = real(a, b)
+        p[0] ^= a[0] & b[0]
+        return p
+
+    real = sim._lane_add_and_rotate
+    monkeypatch.setattr(sim, "_lane_add_and_rotate", broken)
+
+    def examples(pairs):
+        return [
+            {"a": a, "b": b, "expected": {"P": a * b, "A": a, "B": b, "Zcin": 0},
+             "got": {"P": a * b, "A": a, "B": b, "Zcin": 0}}
+            for a, b in pairs
+            if a & b & 1
+        ]
+
+    # n = 3 has exactly 16 pairs of odd operands
+    report = verify_multiplier(3)
+    expected = examples(itertools.product(range(8), repeat=2))
+    assert len(expected) == sim.MAX_COUNTEREXAMPLES
+    assert report == VerifyReport(ok=False, checked=64, mode="exhaustive", counterexamples=expected)
+    rng = random.Random(12)
+    pairs = [(rng.randrange(256), rng.randrange(256)) for _ in range(40)]
+    report = verify_multiplier(8, mode="random", count=40, seed=12)
+    assert 0 < len(examples(pairs)) < sim.MAX_COUNTEREXAMPLES
+    assert report == VerifyReport(
+        ok=False, checked=40, mode="random", seed=12, counterexamples=examples(pairs)
+    )
