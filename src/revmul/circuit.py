@@ -1,5 +1,6 @@
 """Circuit intermediate representation: register layout, gate list, stage marks."""
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .gates import Gate
@@ -147,20 +148,18 @@ class Circuit:
             raise ValueError("stage gates must act on pairwise disjoint lines")
         self.stage_marks.append(len(self.gates))
 
-    def stages(self) -> list[list[Gate]]:
-        """Gate list partitioned into stages.
+    def stages(self) -> Iterator[list[Gate]]:
+        """Gate list partitioned into stages, yielded one at a time.
 
         Gates after the last mark (or all gates, if nothing was marked) carry
-        no parallelism declaration and are returned as one stage each.
+        no parallelism declaration and are yielded as one stage each.
         """
-        out = []
         start = 0
         for mark in self.stage_marks:
-            out.append(self.gates[start:mark])
+            yield self.gates[start:mark]
             start = mark
         for gate in self.gates[start:]:
-            out.append([gate])
-        return out
+            yield [gate]
 
     @property
     def stage_count(self) -> int:

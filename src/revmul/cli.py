@@ -6,6 +6,7 @@ would exceed MAX_GATES).
 """
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -63,19 +64,20 @@ def _default_seed() -> int:
     return int(os.environ.get("REVMUL_SEED", "0"), 0)
 
 
-def _register_order(layout):
-    # result register first, then the rest in layout order
-    names = [r.name for r in layout.registers]
-    if "P" in names:
-        names.remove("P")
-        names.insert(0, "P")
-    return names
+def _state_renderer(layout):
+    """A function that renders a one-lane state as "NAME=value ...", the
+    result register first and the rest in layout order. The register spans
+    are resolved once; each state is decoded from one `bytes(state)`."""
+    width = layout.width
+    order = sorted(layout.registers, key=lambda r: r.name != "P")
+    # spans into the state's binary digits, most significant line first
+    spans = [(f"{r.name}=", width - r.end, width - r.start) for r in order]
 
+    def render(state) -> str:
+        digits = bytes(state)[::-1].translate(sim._DIGITS)
+        return " ".join([name + str(int(digits[lo:hi], 2)) for name, lo, hi in spans])
 
-def _format_state(layout, bits) -> str:
-    return " ".join(
-        f"{name}={sim.register_value(layout, bits, name)}" for name in _register_order(layout)
-    )
+    return render
 
 
 def cmd_build(args) -> int:
@@ -106,13 +108,13 @@ def cmd_sim(args) -> int:
             raise ValueError(f"input assignment must look like NAME=VALUE, got {item!r}")
         values[name] = int(raw, 0)
     state = sim.pack_state(circuit.layout, values)
-    if args.trace:
-        final, snapshots = sim.run(circuit, state, trace=True)
-        for number, snap in enumerate(snapshots, 1):
-            print(f"stage {number}: {_format_state(circuit.layout, snap)}")
-    else:
-        final = sim.run(circuit, state)
-    print(_format_state(circuit.layout, final))
+    render = _state_renderer(circuit.layout)
+    number = itertools.count(1)
+
+    def show(stage_state):  # each stage prints as the run reaches it; none is kept
+        print(f"stage {next(number)}: {render(stage_state)}")
+
+    print(render(sim.run(circuit, state, trace=show if args.trace else None)))
     return 0
 
 
@@ -228,11 +230,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Printed values reach 65,536 bits (`sim`) or 1,048,577 (a `verify ror`
+    # counterexample), past the 4,300-digit limit Python (3.10.7 and later)
+    # puts on int <-> str conversion; lift it while the command runs.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 def entry() -> None:

@@ -131,19 +131,25 @@ def parse_netlist(text: str) -> Circuit:
 
     A line whose exact text was already read as a gate or a `---` reuses that
     result (a `Gate` is frozen and does not depend on its position), so it
-    skips only tokenizing and the `Gate` checks. Every gate line still passes
-    the range check and the MAX_GATES count, and every `---` the disjointness
-    check of its stage.
+    skips tokenizing, the `Gate` checks and the range check, which it passed
+    against the same width. Every gate line still counts toward MAX_GATES,
+    and every `---` gets the checks of `Circuit.mark_stage`: the open stage's
+    lines are collected as its gates are read, so a `---` does not revisit
+    them.
     """
     parser = _Parser()
     circuit = None
     cap = MAX_GATES
     seen: dict[str, object] = {}  # line text -> its Gate, or _SEPARATOR
+    stage: set[int] = set()  # lines the open stage's gates act on
+    disjoint, collect = stage.isdisjoint, stage.update
+    clash = False  # two of them share a line, which its `---` reports
     saw_version = False
     last_line = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         entry = seen.get(raw)
-        if entry is None:
+        fresh = entry is None
+        if fresh:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -164,7 +170,7 @@ def parse_netlist(text: str) -> Circuit:
                 continue
             if circuit is None:
                 circuit = parser._finalize(lineno)
-                gates, append, mark_stage = circuit.gates, circuit.append, circuit.mark_stage
+                gates, marks = circuit.gates, circuit.stage_marks
             if head == "---":
                 if len(fields) != 1:
                     raise NetlistError("stage separator takes no arguments", lineno)
@@ -184,17 +190,27 @@ def parse_netlist(text: str) -> Circuit:
                     raise NetlistError(str(exc), lineno) from None
             seen[raw] = entry
         if entry is _SEPARATOR:
-            try:
-                mark_stage()
-            except ValueError as exc:
-                raise NetlistError(str(exc), lineno) from None
+            if not stage:
+                raise NetlistError("empty stage", lineno)
+            if clash:
+                raise NetlistError("stage gates must act on pairwise disjoint lines", lineno)
+            marks.append(len(gates))
+            stage.clear()
             continue
         if len(gates) == cap:
             raise NetlistError(f"gate {cap + 1} exceeds the limit of {cap} gates", lineno)
-        try:
-            append(entry)
-        except ValueError as exc:
-            raise NetlistError(str(exc), lineno) from None
+        if fresh:
+            try:
+                circuit.append(entry)
+            except ValueError as exc:
+                raise NetlistError(str(exc), lineno) from None
+        else:
+            gates.append(entry)
+        lines = entry.lines
+        if disjoint(lines):
+            collect(lines)
+        else:
+            clash = True
     if not saw_version:
         raise NetlistError("expected version header 'rev 1'", last_line)
     if circuit is None:

@@ -4,13 +4,17 @@ Simulation is restricted to classical basis states: every supported gate
 permutes them, so bit-level execution is exact. It is also bit-sliced (Biham,
 FSE 1997): each line holds one int whose bit k is that line's value in lane
 k, so a Toffoli is `t ^= c1 & c2` on whole ints and one pass over the gates
-simulates every lane at once. `run` is the only gate kernel, and both
-verifiers share one sweep, `_sweep`, which packs up to LANES cases into each
-`run` call. The references are bit-sliced too: each verifier computes the
-wanted exit state of a whole batch on the same lane ints (for the multiplier,
-a schoolbook product cross-checked against the add-and-rotate recurrence of
-`oracle_multiply`), so a sweep does no Python work per case, and an
-exhaustive sweep does not even build its cases one by one.
+simulates every lane at once. `run` is the only gate kernel. Given a
+`trace` callable, it hands that callable the live state at each stage
+boundary without copying it, so a traced run's memory is O(width) however
+many stages it has; a caller that keeps a stage's state must copy it.
+
+Both verifiers share one sweep, `_sweep`, which packs up to LANES cases into
+each `run` call. The references are bit-sliced too: each verifier computes
+the wanted exit state of a whole batch on the same lane ints (for the
+multiplier, a schoolbook product cross-checked against the add-and-rotate
+recurrence of `oracle_multiply`), so a sweep does no Python work per case,
+and an exhaustive sweep does not even build its cases one by one.
 """
 
 import itertools
@@ -33,19 +37,20 @@ EXHAUSTIVE_ROTATE_LIMIT = 20  # 2^20 states; beyond that use randomized mode
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # bit values -> binary digits
 
 
-def run(circuit: Circuit, state: list[int], trace: bool = False):
-    """Apply the circuit's gates in order to a lane-packed state.
+def run(circuit: Circuit, state: list[int], trace=None) -> list[int]:
+    """Apply the circuit's gates in order to a lane-packed state and return
+    the final state.
 
     state[line] is an int whose bit k is that line's value in lane k, so one
     call carries as many independent basis states as the ints have bits. A
     list of 0/1 values is the one-lane case: one basis state in, one out.
-    Returns the final state, or (final state, snapshots) with one snapshot of
-    the state at each stage boundary when trace is set.
+    If trace is given, trace(state) is called at each stage boundary, in the
+    same gate loop, with the live state: `run` keeps no copy, so a caller
+    that wants to keep a stage's state must copy it.
     """
     if len(state) != circuit.width:
         raise ValueError(f"state has {len(state)} bits, circuit width is {circuit.width}")
     v = list(state)
-    snapshots = []
     for stage in circuit.stages() if trace else (circuit.gates,):
         for gate in stage:
             kind = gate.kind
@@ -63,8 +68,8 @@ def run(circuit: Circuit, state: list[int], trace: bool = False):
             else:  # CNOT
                 v[ln[1]] ^= v[ln[0]]
         if trace:
-            snapshots.append(list(v))
-    return (v, snapshots) if trace else v
+            trace(v)
+    return v
 
 
 def pack_state(layout: RegisterLayout, values: dict[str, int]) -> list[int]:

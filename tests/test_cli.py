@@ -1,13 +1,19 @@
+import contextlib
+import functools
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import revmul
-from revmul import cli, sim, synth
+from revmul import cli, io as revio, sim, synth
+from revmul.circuit import Circuit, Register, RegisterLayout
 from revmul.cli import MAX_GATES, main
+from revmul.gates import cnot, swap, toffoli
 
 
 def test_build_mul_writes_netlist(tmp_path, capsys):
@@ -143,6 +149,104 @@ def test_sim_trace_prints_stages(tmp_path, capsys):
     assert lines[-1] == "P=8"
 
 
+def reference_format_state(layout, bits):
+    """`sim`'s state line as it was rendered before streaming: the result
+    register first, each register read through `register_value`."""
+    names = [r.name for r in layout.registers]
+    if "P" in names:
+        names.remove("P")
+        names.insert(0, "P")
+    return " ".join(f"{name}={sim.register_value(layout, bits, name)}" for name in names)
+
+
+def reference_sim_stdout(circuit, values, trace):
+    """`sim` stdout, each stage run on its own as a one-stage circuit."""
+    state = sim.pack_state(circuit.layout, values)
+    out = []
+    if trace:
+        for number, stage in enumerate(circuit.stages(), 1):
+            part = Circuit(circuit.layout)
+            part.extend(stage)
+            state = sim.run(part, state)
+            out.append(f"stage {number}: {reference_format_state(circuit.layout, state)}")
+    else:
+        state = sim.run(circuit, state)
+    out.append(reference_format_state(circuit.layout, state))
+    return "\n".join(out) + "\n"
+
+
+def _unmarked_tail():
+    circ = Circuit(RegisterLayout([Register("R", 0, 3), Register("Z", 3, 1, 1)]))
+    circ.extend([cnot(0, 1), swap(2, 3)])
+    circ.mark_stage()
+    circ.extend([toffoli(3, 1, 2), cnot(2, 0), swap(0, 3)])  # no mark after these
+    return circ
+
+
+SIM_CIRCUITS = {
+    **{f"mul{n}": functools.partial(synth.build_multiplier, n) for n in (1, 2, 3, 16, 33)},
+    "addnop5": functools.partial(synth.build_addnop, 5),
+    "ror9": functools.partial(synth.build_ror, 9),
+    "cror7": functools.partial(synth.build_controlled_ror, 7),
+    "unmarked_tail": _unmarked_tail,
+    "no_gates": lambda: Circuit(RegisterLayout([Register("R", 0, 2), Register("Z", 2, 1, 1)])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIM_CIRCUITS))
+@pytest.mark.parametrize("trace", [False, True], ids=["final", "trace"])
+def test_sim_stdout_matches_the_reference_renderer(name, trace, tmp_path, capsys):
+    circuit = SIM_CIRCUITS[name]()
+    path = tmp_path / f"{name}.rev"
+    path.write_text(revio.write_netlist(circuit))
+    rng = random.Random(name)
+    values = {r.name: rng.getrandbits(r.size) for r in circuit.layout.data_registers}
+    argv = ["sim", str(path)] + [f"--set={k}={v}" for k, v in values.items()]
+    assert main(argv + (["--trace"] if trace else [])) == 0
+    printed = capsys.readouterr().out
+    assert printed == reference_sim_stdout(circuit, values, trace)
+    if trace and name == "no_gates":
+        assert printed.count("\n") == 1  # no stage line, only the final state
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        synth.multiplier_layout(5),
+        synth.build_addnop(4).layout,
+        synth.build_ror(7).layout,
+        synth.build_controlled_ror(6).layout,
+        RegisterLayout([Register("X", 0, 1), Register("P", 1, 3, 0), Register("Y", 4, 2, 1)]),
+    ],
+)
+def test_state_renderer_matches_register_value(layout):
+    render = cli._state_renderer(layout)
+    rng = random.Random(3)
+    for _ in range(50):
+        state = [rng.getrandbits(1) for _ in range(layout.width)]
+        assert render(state) == reference_format_state(layout, state)
+
+
+def _sim_peak_bytes(argv):
+    """Peak traced allocation of one CLI command, its stdout discarded."""
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_traced_sim_memory_does_not_grow_with_the_stage_count(tmp_path):
+    path = tmp_path / "mul32.rev"
+    path.write_text(revio.write_netlist(synth.build_multiplier(32)))  # 3,198 stages
+    argv = ["sim", str(path), "--set", "A=4000000000", "--set", "B=123456789"]
+    untraced = _sim_peak_bytes(argv)
+    traced = _sim_peak_bytes(argv + ["--trace"])
+    assert traced - untraced < 64 * 1024
+
+
 def test_verify_exhaustive_exit_zero(capsys):
     assert main(["verify", "mul", "--n", "4", "--exhaustive"]) == 0
     printed = capsys.readouterr().out
@@ -228,3 +332,63 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "ok" in proc.stdout
+
+
+# ---------------------------------------------------------------- values past the digit limit
+
+WIDE = 20000  # lines; a full register prints as 6,021 decimal digits
+
+
+def _digit_limit():
+    # None where the interpreter has no int <-> str digit limit (before 3.10.7)
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """Let the test itself print and read wide ints."""
+    limit = _digit_limit()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_sim_prints_a_register_wider_than_the_digit_limit(tmp_path, capsys):
+    path = tmp_path / "ror.rev"
+    path.write_text(revio.write_netlist(synth.build_ror(WIDE)))
+    limit = _digit_limit()
+    assert main(["sim", str(path), "--set", f"P={(1 << WIDE) - 1:#x}"]) == 0
+    assert _digit_limit() == limit  # restored when main returns
+    printed = capsys.readouterr().out
+    with no_digit_limit():
+        assert printed == f"P={(1 << WIDE) - 1}\n"
+
+
+def _drop_last_gate(circuit):
+    damaged = Circuit(circuit.layout)
+    damaged.extend(circuit.gates[:-1])
+    return damaged
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_failing_wide_verify_prints_its_counterexamples(json_flag, monkeypatch, capsys):
+    monkeypatch.setattr(sim, "build_ror", lambda width: _drop_last_gate(synth.build_ror(width)))
+    limit = _digit_limit()
+    argv = ["verify", "ror", "--width", str(WIDE), "--random", "5", "--seed", "3"]
+    assert main(argv + json_flag) == 1
+    assert _digit_limit() == limit
+    printed = capsys.readouterr().out
+    report = sim.verify_rotate(WIDE, mode="random", count=5, seed=3)
+    count = len(report.counterexamples)
+    assert count > 0
+    with no_digit_limit():
+        if json_flag:
+            assert printed == revio.metrics_json(report)
+        else:
+            head = f"ror width={WIDE}: mode=random seed=3 checked=5 FAILED ({count} counterexamples)"
+            want = [head] + [f"  counterexample: {ce}" for ce in report.counterexamples]
+            assert printed.splitlines() == want

@@ -383,6 +383,38 @@ def test_parser_matches_reference_on_mutated_netlists(text):
 HEAD = "rev 1\nqubits 3\nreg R 0 2\n"
 
 
+@st.composite
+def netlist_texts(draw):
+    """Lines of a netlist word and its arguments, mostly small line numbers,
+    most of them after a valid header. In half the texts any word, argument
+    or line may also be another number or arbitrary characters; the other
+    half keep to netlist words, so that they reach the gate and stage
+    checks."""
+    words = st.sampled_from(["qubits", "reg", "anc", "#", *ARITY, *ARITY, "---", "---"])
+    args = st.sampled_from(["0", "1", "2", "3", "R", "Z"])
+    if draw(st.booleans()):
+        junk = st.integers(-3, 70000).map(str) | st.text(max_size=3)
+        words, args = words | junk, args | junk
+    space = st.sampled_from([" ", "  ", "\t", ""])
+    line = st.tuples(words, st.lists(st.tuples(space, args), max_size=4)).map(
+        lambda parts: parts[0] + "".join(map("".join, parts[1]))
+    )
+    if draw(st.booleans()):
+        line = line | st.text(max_size=20)
+    head = HEAD.splitlines() if draw(st.integers(0, 3)) else draw(st.sampled_from([["rev 1"], []]))
+    lines = head + draw(st.lists(line, max_size=10))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@settings(max_examples=250, deadline=None)
+@given(netlist_texts())
+def test_any_text_parses_or_raises_netlist_error(text):
+    try:
+        parse_netlist(text)
+    except NetlistError:
+        pass
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -445,6 +477,12 @@ def test_gate_line_cap(monkeypatch):
     for extra in ("swap 0 1", "ccx 0 1 2", "cx 1 2 # again"):
         assert err(HEAD + gates + extra + "\n") == "line 9: gate 4 exceeds the limit of 3 gates"
     assert len(parse_netlist(HEAD + gates + "---\n# done\n\n")) == 3
+
+
+def test_gate_cap_is_checked_before_the_range_of_a_new_gate(monkeypatch):
+    monkeypatch.setattr(revmul.io, "MAX_GATES", 1)
+    assert err(HEAD + "swap 0 1\ncx 1 7\n") == "line 5: gate 2 exceeds the limit of 1 gates"
+    assert err(HEAD + "cx 1 7\n") == "line 4: gate cx (1, 7) out of range for width 3"
 
 
 def test_sim_refuses_a_netlist_above_the_gate_cap(monkeypatch, tmp_path, capsys):

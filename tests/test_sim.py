@@ -100,10 +100,42 @@ def test_run_then_reversed_restores():
 def test_run_trace_snapshots():
     circ = build_addnop(2)
     state = pack_state(circ.layout, {"A": 1, "B": 2})
-    final, snapshots = run(circ, state, trace=True)
+    snapshots = []
+    final = run(circ, state, trace=lambda v: snapshots.append(list(v)))
     assert len(snapshots) == circ.stage_count == 8
     assert snapshots[-1] == final
     assert run(circ, state) == final
+
+
+def _trailing_gates():
+    # one marked stage, then three gates that carry no stage mark
+    circ = Circuit(RegisterLayout([Register("R", 0, 3)]))
+    circ.append(cnot(0, 1))
+    circ.mark_stage()
+    circ.extend([cnot(1, 2), toffoli(0, 1, 2), swap(0, 2)])
+    return circ
+
+
+@pytest.mark.parametrize(
+    "circ",
+    [
+        build_multiplier(3),
+        build_addnop(2),
+        build_ror(5),
+        build_controlled_ror(4),
+        _trailing_gates(),
+        Circuit(RegisterLayout([Register("R", 0, 2)])),
+    ],
+    ids=["mul3", "addnop2", "ror5", "cror4", "trailing", "empty"],
+)
+def test_run_trace_gets_the_live_state_once_per_stage(circ):
+    rng = random.Random(5)
+    state = [rng.getrandbits(1) for _ in range(circ.width)]
+    calls = []
+    final = run(circ, state, trace=calls.append)
+    assert len(calls) == circ.stage_count
+    assert all(seen is final for seen in calls)  # one list, never copied
+    assert final == run(circ, state)
 
 
 def test_run_is_a_permutation_at_small_width():
@@ -432,7 +464,8 @@ def test_lane_packed_run_equals_per_state_reference(circ, data):
     )
     states = [[(value >> line) & 1 for line in range(width)] for value in values]
     packed = [sum(state[line] << k for k, state in enumerate(states)) for line in range(width)]
-    final, snapshots = run(circ, packed, trace=True)
+    snapshots = []
+    final = run(circ, packed, trace=lambda v: snapshots.append(list(v)))
     assert run(circ, packed) == final
 
     def lane(packed_state, k):
