@@ -22,10 +22,13 @@ class Register:
     def __post_init__(self):
         if not self.name or any(ch.isspace() for ch in self.name):
             raise ValueError(f"bad register name {self.name!r}")
-        if self.start < 0 or self.size < 1:
-            raise ValueError(f"bad register span {self.name}: start={self.start} size={self.size}")
-        if self.const not in (None, 0, 1):
-            raise ValueError(f"ancilla constant must be 0 or 1, got {self.const!r}")
+        # plain ints only: the writer prints these fields, and the parser
+        # reads back only integers (a bool or float would print as True or 2.0)
+        start, size, const = self.start, self.size, self.const
+        if type(start) is not int or type(size) is not int or start < 0 or size < 1:
+            raise ValueError(f"bad register span {self.name}: start={start} size={size}")
+        if const is not None and (type(const) is not int or const not in (0, 1)):
+            raise ValueError(f"ancilla constant must be 0 or 1, got {const!r}")
 
     @property
     def end(self) -> int:

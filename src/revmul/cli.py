@@ -34,7 +34,7 @@ GATE_COUNT = {
 # gate lines `sim` will read (the netlist parser's own cap); the largest
 # multiplier allowed is n = 418 (1,047,509 gates). Memory and time grow
 # linearly with the gate count: `build mul --n 200` (239,601 gates) peaks at
-# 69 MiB and takes 1.7 s on a 2-vCPU x86-64 host with Python 3.11.
+# 57 MiB and takes 1.0 s on a 2-vCPU x86-64 host with Python 3.11.
 MAX_GATES = revio.MAX_GATES
 
 # Largest random sweep `verify` will run: no more cases, and no more cases x

@@ -22,7 +22,7 @@ QUANTUM_COST = {CNOT: 1, TOFFOLI: 5, FREDKIN: 5, SWAP: 3}
 KIND_ORDER = (CNOT, TOFFOLI, FREDKIN, SWAP)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Gate:
     """One gate instance: a kind plus the ordered 0-based lines it acts on.
 
@@ -33,24 +33,30 @@ class Gate:
     kind: str
     lines: tuple[int, ...]
 
-    def __post_init__(self):
-        lines = self.lines
+    def __init__(self, kind: str, lines: tuple[int, ...]):
+        # Checked in one frame, then stored through the slots' own setters,
+        # which a frozen dataclass's __setattr__ does not intercept.
         if type(lines) is not tuple:
             lines = tuple(lines)
-            object.__setattr__(self, "lines", lines)
-        arity = ARITY.get(self.kind)
+        arity = ARITY.get(kind)
         if arity is None:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
+            raise ValueError(f"unknown gate kind {kind!r}")
         if len(lines) != arity:
-            raise ValueError(f"{self.kind} takes {arity} lines, got {len(lines)}")
+            raise ValueError(f"{kind} takes {arity} lines, got {len(lines)}")
         if min(lines) < 0:
-            raise ValueError(f"negative line index in {self.kind} gate: {lines}")
+            raise ValueError(f"negative line index in {kind} gate: {lines}")
         if len(set(lines)) != arity:
-            raise ValueError(f"duplicate line index in {self.kind} gate: {lines}")
+            raise ValueError(f"duplicate line index in {kind} gate: {lines}")
+        _set_kind(self, kind)
+        _set_lines(self, lines)
 
     @property
     def cost(self) -> int:
         return QUANTUM_COST[self.kind]
+
+
+_set_kind = Gate.kind.__set__
+_set_lines = Gate.lines.__set__
 
 
 def cnot(control: int, target: int) -> Gate:

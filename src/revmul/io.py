@@ -24,6 +24,7 @@ identical.
 """
 
 import json
+from itertools import chain, count, repeat
 
 from .analysis import AncillaRow, FormulaCheck, GarbageRow
 from .circuit import Circuit, Register, RegisterLayout
@@ -44,6 +45,28 @@ class NetlistError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
+def _write(out: list[str], circuit: Circuit, render, separators) -> str:
+    """The lines in `out`, then one line per gate and the next of `separators`
+    after each marked stage, as one newline-terminated text. `render(kind,
+    lines)` runs once per distinct gate; a repeated gate reuses its text."""
+    gates = circuit.gates
+    texts = {kind: {} for kind in ARITY}  # kind -> lines -> text
+    append = out.append
+    start = 0
+    for stop, separator in chain(zip(circuit.stage_marks, separators), [(len(gates), None)]):
+        for gate in gates[start:stop]:
+            lines = gate.lines
+            known = texts[gate.kind]
+            text = known.get(lines)
+            if text is None:
+                text = known[lines] = render(gate.kind, lines)
+            append(text)
+        if separator is not None:
+            append(separator)
+        start = stop
+    return "\n".join(out) + "\n"
+
+
 def write_netlist(circuit: Circuit) -> str:
     out = [f"rev {FORMAT_VERSION}", f"qubits {circuit.width}"]
     for reg in circuit.layout.registers:
@@ -52,12 +75,9 @@ def write_netlist(circuit: Circuit) -> str:
             out.append(f"anc {reg.name} {reg.start} {hi} {reg.const}")
         else:
             out.append(f"reg {reg.name} {reg.start} {hi}")
-    marks = set(circuit.stage_marks)
-    for pos, gate in enumerate(circuit.gates, 1):
-        out.append(f"{gate.kind} {' '.join(str(line) for line in gate.lines)}")
-        if pos in marks:
-            out.append("---")
-    return "\n".join(out) + "\n"
+    return _write(
+        out, circuit, lambda kind, lines: f"{kind} {' '.join(map(str, lines))}", repeat("---")
+    )
 
 
 def _parse_int(token: str, what: str, lineno: int) -> int:
@@ -70,60 +90,53 @@ def _parse_int(token: str, what: str, lineno: int) -> int:
 _SEPARATOR = object()  # what a `---` line parses to
 
 
-class _Parser:
-    def __init__(self):
-        self.width = None
-        self.registers: list[Register] = []
+def _parse_width(fields, width, lineno) -> int:
+    """The width a `qubits` line declares."""
+    if width is not None:
+        raise NetlistError("duplicate qubits declaration", lineno)
+    if len(fields) != 2:
+        raise NetlistError("qubits takes exactly one argument", lineno)
+    width = _parse_int(fields[1], "width", lineno)
+    if width < 1:
+        raise NetlistError(f"width must be positive, got {width}", lineno)
+    if width > MAX_QUBITS:
+        raise NetlistError(f"width {width} exceeds the limit of {MAX_QUBITS} lines", lineno)
+    return width
 
-    def _finalize(self, lineno: int | None) -> Circuit:
-        if self.width is None:
-            raise NetlistError("missing qubits declaration", lineno)
-        try:
-            layout = RegisterLayout(self.registers)
-        except ValueError as exc:
-            raise NetlistError(str(exc), lineno) from None
-        if layout.width != self.width:
-            raise NetlistError(
-                f"registers cover {layout.width} lines, qubits declares {self.width}", lineno
-            )
-        return Circuit(layout)
 
-    def header(self, head, fields, lineno):
-        if head == "qubits":
-            if self.width is not None:
-                raise NetlistError("duplicate qubits declaration", lineno)
-            if len(fields) != 2:
-                raise NetlistError("qubits takes exactly one argument", lineno)
-            self.width = _parse_int(fields[1], "width", lineno)
-            if self.width < 1:
-                raise NetlistError(f"width must be positive, got {self.width}", lineno)
-            if self.width > MAX_QUBITS:
-                raise NetlistError(
-                    f"width {self.width} exceeds the limit of {MAX_QUBITS} lines", lineno
-                )
-            return
-        if head in ("reg", "anc"):
-            want = 4 if head == "reg" else 5
-            if len(fields) != want:
-                raise NetlistError(f"malformed {head} declaration", lineno)
-            name = fields[1]
-            if any(r.name == name for r in self.registers):
-                raise NetlistError(f"duplicate register name {name!r}", lineno)
-            lo = _parse_int(fields[2], "register lo", lineno)
-            hi = _parse_int(fields[3], "register hi", lineno)
-            if hi < lo:
-                raise NetlistError(f"register {name} has hi {hi} < lo {lo}", lineno)
-            const = None
-            if head == "anc":
-                const = _parse_int(fields[4], "ancilla constant", lineno)
-                if const not in (0, 1):
-                    raise NetlistError(f"ancilla constant must be 0 or 1, got {const}", lineno)
-            try:
-                self.registers.append(Register(name, lo, hi - lo + 1, const))
-            except ValueError as exc:
-                raise NetlistError(str(exc), lineno) from None
-            return
-        raise NetlistError(f"unknown gate mnemonic or directive {head!r}", lineno)
+def _parse_register(head, fields, registers, lineno) -> Register:
+    """The register a `reg` or `anc` line declares."""
+    if len(fields) != (4 if head == "reg" else 5):
+        raise NetlistError(f"malformed {head} declaration", lineno)
+    name = fields[1]
+    if any(r.name == name for r in registers):
+        raise NetlistError(f"duplicate register name {name!r}", lineno)
+    lo = _parse_int(fields[2], "register lo", lineno)
+    hi = _parse_int(fields[3], "register hi", lineno)
+    if hi < lo:
+        raise NetlistError(f"register {name} has hi {hi} < lo {lo}", lineno)
+    const = None
+    if head == "anc":
+        const = _parse_int(fields[4], "ancilla constant", lineno)
+        if const not in (0, 1):
+            raise NetlistError(f"ancilla constant must be 0 or 1, got {const}", lineno)
+    try:
+        return Register(name, lo, hi - lo + 1, const)
+    except ValueError as exc:
+        raise NetlistError(str(exc), lineno) from None
+
+
+def _empty_circuit(width, registers, lineno) -> Circuit:
+    """The gateless circuit the declarations describe."""
+    if width is None:
+        raise NetlistError("missing qubits declaration", lineno)
+    try:
+        layout = RegisterLayout(registers)
+    except ValueError as exc:
+        raise NetlistError(str(exc), lineno) from None
+    if layout.width != width:
+        raise NetlistError(f"registers cover {layout.width} lines, qubits declares {width}", lineno)
+    return Circuit(layout)
 
 
 def parse_netlist(text: str) -> Circuit:
@@ -137,7 +150,8 @@ def parse_netlist(text: str) -> Circuit:
     lines are collected as its gates are read, so a `---` does not revisit
     them.
     """
-    parser = _Parser()
+    width = None
+    registers: list[Register] = []
     circuit = None
     cap = MAX_GATES
     seen: dict[str, object] = {}  # line text -> its Gate, or _SEPARATOR
@@ -166,10 +180,13 @@ def parse_netlist(text: str) -> Circuit:
             if head in ("qubits", "reg", "anc"):
                 if circuit is not None:
                     raise NetlistError(f"{head} declaration after the first gate", lineno)
-                parser.header(head, fields, lineno)
+                if head == "qubits":
+                    width = _parse_width(fields, width, lineno)
+                else:
+                    registers.append(_parse_register(head, fields, registers, lineno))
                 continue
             if circuit is None:
-                circuit = parser._finalize(lineno)
+                circuit = _empty_circuit(width, registers, lineno)
                 gates, marks = circuit.gates, circuit.stage_marks
             if head == "---":
                 if len(fields) != 1:
@@ -214,7 +231,7 @@ def parse_netlist(text: str) -> Circuit:
     if not saw_version:
         raise NetlistError("expected version header 'rev 1'", last_line)
     if circuit is None:
-        circuit = parser._finalize(last_line)
+        circuit = _empty_circuit(width, registers, last_line)
     return circuit
 
 
@@ -231,15 +248,12 @@ def export_qasm(circuit: Circuit) -> str:
         span = f"q[{reg.start}]" if reg.size == 1 else f"q[{reg.start}..{reg.end - 1}]"
         role = f"ancilla, enters as {reg.const}" if reg.is_ancilla else "data input"
         out.append(f"// {reg.name}: {span} ({role})")
-    marks = set(circuit.stage_marks)
-    stage = 1
-    for pos, gate in enumerate(circuit.gates, 1):
-        args = ",".join(f"q[{line}]" for line in gate.lines)
-        out.append(f"{gate.kind} {args};")
-        if pos in marks:
-            out.append(f"// --- end of stage {stage} ---")
-            stage += 1
-    return "\n".join(out) + "\n"
+    return _write(
+        out,
+        circuit,
+        lambda kind, lines: f"{kind} {','.join([f'q[{line}]' for line in lines])};",
+        (f"// --- end of stage {stage} ---" for stage in count(1)),
+    )
 
 
 def _percent(value: float) -> str:

@@ -107,3 +107,24 @@ def test_unmarked_tail_is_sequential():
     circ.append(swap(4, 5))
     # the two trailing gates carry no parallelism declaration
     assert [len(s) for s in circ.stages()] == [1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("Z", 0, 2, True), "ancilla constant must be 0 or 1, got True"),
+        (("Z", 0, 2, False), "ancilla constant must be 0 or 1, got False"),
+        (("Z", 0, 2, 1.0), "ancilla constant must be 0 or 1, got 1.0"),
+        (("Z", 0, 2, 2), "ancilla constant must be 0 or 1, got 2"),
+        (("A", 0, 2.0), "bad register span A: start=0 size=2.0"),
+        (("A", 1.0, 2), "bad register span A: start=1.0 size=2"),
+        (("A", True, 2), "bad register span A: start=True size=2"),
+        (("A", 0, True), "bad register span A: start=0 size=True"),
+        (("A", -1, 2), "bad register span A: start=-1 size=2"),
+        (("A", 0, 0), "bad register span A: start=0 size=0"),
+    ],
+)
+def test_register_fields_must_be_plain_ints(args, message):
+    with pytest.raises(ValueError) as info:
+        Register(*args)
+    assert str(info.value) == message

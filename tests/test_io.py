@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -172,6 +173,97 @@ def test_qasm_carries_ancilla_and_stage_comments():
     text = export_qasm(build_addnop(1))
     assert "// P: q[2..3] (ancilla, enters as 0)" in text
     assert "// --- end of stage 1 ---" in text
+
+
+# ---------------------------------------------------------------- writers against a reference
+
+def reference_write_netlist(circuit):
+    """`write_netlist` as it was before it rendered each distinct gate once:
+    one text per gate, and a set of the stage marks tested after each gate."""
+    out = [f"rev {revmul.io.FORMAT_VERSION}", f"qubits {circuit.width}"]
+    for reg in circuit.layout.registers:
+        hi = reg.end - 1
+        if reg.is_ancilla:
+            out.append(f"anc {reg.name} {reg.start} {hi} {reg.const}")
+        else:
+            out.append(f"reg {reg.name} {reg.start} {hi}")
+    marks = set(circuit.stage_marks)
+    for pos, gate in enumerate(circuit.gates, 1):
+        out.append(f"{gate.kind} {' '.join(str(line) for line in gate.lines)}")
+        if pos in marks:
+            out.append("---")
+    return "\n".join(out) + "\n"
+
+
+def reference_export_qasm(circuit):
+    """`export_qasm` as it was before it rendered each distinct gate once."""
+    out = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.width}];"]
+    for reg in circuit.layout.registers:
+        span = f"q[{reg.start}]" if reg.size == 1 else f"q[{reg.start}..{reg.end - 1}]"
+        role = f"ancilla, enters as {reg.const}" if reg.is_ancilla else "data input"
+        out.append(f"// {reg.name}: {span} ({role})")
+    marks = set(circuit.stage_marks)
+    stage = 1
+    for pos, gate in enumerate(circuit.gates, 1):
+        args = ",".join(f"q[{line}]" for line in gate.lines)
+        out.append(f"{gate.kind} {args};")
+        if pos in marks:
+            out.append(f"// --- end of stage {stage} ---")
+            stage += 1
+    return "\n".join(out) + "\n"
+
+
+def hand_circuit(gates, marks=()):
+    """Gates over a data register and a one-line ancilla, with a stage
+    closed after each gate count in `marks`."""
+    circ = Circuit(RegisterLayout([Register("R", 0, 4), Register("Z", 4, 1, 1)]))
+    for count, gate in enumerate(gates, 1):
+        circ.append(gate)
+        if count in marks:
+            circ.mark_stage()
+    return circ
+
+
+SAME_LINES = [Gate("cx", (0, 1)), Gate("swap", (0, 1)), Gate("ccx", (0, 1, 2)),
+              Gate("cswap", (0, 1, 2)), Gate("swap", (0, 1)), Gate("cx", (0, 1))]
+
+WRITER_CASES = {
+    **{f"mul{n}": (lambda n=n: build_multiplier(n)) for n in range(1, 25)},
+    "addnop1": lambda: build_addnop(1),
+    "addnop5": lambda: build_addnop(5),
+    "ror2": lambda: build_ror(2),
+    "ror9": lambda: build_ror(9),
+    "cror6": lambda: build_controlled_ror(6),
+    "empty": lambda: hand_circuit([]),
+    "no_marks": lambda: hand_circuit(SAME_LINES),
+    # two marked stages, then four gates after the last mark
+    "trailing": lambda: hand_circuit(SAME_LINES, marks=(1, 2)),
+    # the kind is part of a gate's text: two kinds on each of two line sets
+    "same_lines": lambda: hand_circuit(SAME_LINES, marks=range(1, 7)),
+    "same_lines_reversed": lambda: hand_circuit(SAME_LINES[::-1], marks=range(1, 7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_CASES))
+def test_writers_match_reference(name):
+    circuit = WRITER_CASES[name]()
+    assert write_netlist(circuit) == reference_write_netlist(circuit)
+    assert export_qasm(circuit) == reference_export_qasm(circuit)
+
+
+# sha256 of `revmul build mul --n N --format F`, as the benchmark pins them
+WRITER_SHA256 = {
+    (3, "qasm"): "703499a90ae94a2a1bacdafdfd4fb88c5e64e60282fbc06b9fbeb781c7ae092d",
+    (16, "qasm"): "ad03941257ea298dcc4c33c5470f66a4c191ab6cec52045e1c17e5df5fb44518",
+    (32, "rev"): "f843c77f2b3ebb043ec7ab0ef0717bfbc08658f1ffed05d0b1dd3bd6d60f8fc8",
+}
+
+
+@pytest.mark.parametrize("n,fmt", sorted(WRITER_SHA256))
+def test_writer_bytes_pinned(n, fmt):
+    write = export_qasm if fmt == "qasm" else write_netlist
+    text = write(build_multiplier(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == WRITER_SHA256[n, fmt]
 
 
 # ---------------------------------------------------------------- json reports

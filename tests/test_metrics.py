@@ -4,6 +4,7 @@ import pytest
 
 from revmul import (
     Circuit,
+    Metrics,
     Register,
     RegisterLayout,
     asap_depth,
@@ -18,6 +19,7 @@ from revmul import (
     swap,
     toffoli,
 )
+from revmul.gates import KIND_ORDER
 
 
 def scratch(width):
@@ -178,3 +180,87 @@ def test_asap_depth_matches_reference_on_multipliers():
     for n in range(1, 41):
         circ = build_multiplier(n)
         assert asap_depth(circ) == reference_asap_depth(circ), n
+
+
+# ---------------------------------------------------------------- metrics against per-gate loops
+
+def random_circuit(seed, width=7, gates=60):
+    """Gates of all four kinds on random lines; each stage gathers gates on
+    disjoint lines and is marked or, now and then, left unmarked at the end."""
+    rng = random.Random(seed)
+    makers = [(2, cnot), (3, toffoli), (3, fredkin), (2, swap)]
+    circ = scratch(width)
+    used = set()
+    for count in range(1, gates + 1):
+        arity, make = rng.choice(makers)
+        lines = rng.sample(range(width), arity)
+        if used & set(lines):
+            circ.mark_stage()
+            used.clear()
+        circ.append(make(*lines))
+        used.update(lines)
+    if rng.random() < 0.5:
+        circ.mark_stage()
+    return circ
+
+
+def reference_staged_delay(circuit):
+    """Per-gate loop: the running maximum of the open stage, added at each mark."""
+    marks = set(circuit.stage_marks)
+    last = circuit.stage_marks[-1] if circuit.stage_marks else 0
+    total = stage_max = 0
+    for pos, gate in enumerate(circuit.gates, 1):
+        if pos > last:  # after the last mark each gate is a stage of its own
+            total += gate.cost
+            continue
+        stage_max = max(stage_max, gate.cost)
+        if pos in marks:
+            total += stage_max
+            stage_max = 0
+    return total
+
+
+def reference_metrics(circuit):
+    counts, cost = {}, 0
+    for gate in circuit.gates:
+        counts[gate.kind] = counts.get(gate.kind, 0) + 1
+        cost += gate.cost
+    return Metrics(
+        gate_counts={kind: counts[kind] for kind in KIND_ORDER if kind in counts},
+        gate_count=len(circuit.gates),
+        quantum_cost=cost,
+        ancilla_inputs=circuit.layout.ancilla_inputs,
+        asap_depth=reference_asap_depth(circuit),
+        staged_delay=reference_staged_delay(circuit),
+        garbage_outputs=None,
+    )
+
+
+def unmarked(circuit):
+    copy = Circuit(circuit.layout)
+    copy.gates.extend(circuit.gates)
+    return copy
+
+
+METRIC_CASES = [random_circuit(seed) for seed in range(40)] + [
+    scratch(4),  # no gates
+    unmarked(random_circuit(40)),  # no marks
+    unmarked(build_multiplier(3)),
+    build_multiplier(5),
+]
+
+
+@pytest.mark.parametrize("circ", METRIC_CASES)
+def test_metrics_match_per_gate_loops(circ):
+    want = reference_metrics(circ)
+    assert asap_depth(circ) == want.asap_depth
+    assert staged_delay(circ) == want.staged_delay == stages_delay(circ)
+    assert structural_metrics(circ) == want
+    assert list(structural_metrics(circ).gate_counts) == list(want.gate_counts)
+
+
+def test_random_circuits_mix_every_kind_and_stage_shape():
+    kinds = {gate.kind for circ in METRIC_CASES[:40] for gate in circ.gates}
+    assert kinds == set(KIND_ORDER)
+    assert any(len(c.gates) > c.stage_marks[-1] for c in METRIC_CASES[:40] if c.stage_marks)
+    assert any(len(c.gates) == c.stage_marks[-1] for c in METRIC_CASES[:40] if c.stage_marks)
