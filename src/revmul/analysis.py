@@ -135,8 +135,6 @@ def check_formulas(max_n: int) -> FormulaCheck:
             got = structural_metrics(builder(n))
             for attr in ("quantum_cost", "gate_count", "gate_counts", "ancilla_inputs", "staged_delay"):
                 w, g = getattr(want, attr), getattr(got, attr)
-                if attr == "gate_counts":
-                    g = {k: v for k, v in g.items() if v}
                 if w != g:
                     report.mismatches.append(f"{block} n={n} {attr}: formula {w} != structural {g}")
             report.checked += 1

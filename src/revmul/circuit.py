@@ -131,10 +131,13 @@ class Circuit:
         return f"Circuit(width={self.width}, gates={len(self.gates)}, stages={self.stage_count})"
 
     def append(self, gate: Gate) -> None:
-        if max(gate.lines) >= self.width:
-            raise ValueError(
-                f"gate {gate.kind} {gate.lines} out of range for width {self.width}"
-            )
+        lines = gate.lines
+        # plain ints only, as in Register: the writer would print a bool or
+        # float line as True or 1.5, which the parser rejects
+        if not all(type(line) is int for line in lines):
+            raise ValueError(f"gate {gate.kind} {lines} has a line index that is not a plain int")
+        if max(lines) >= self.width:
+            raise ValueError(f"gate {gate.kind} {lines} out of range for width {self.width}")
         self.gates.append(gate)
 
     def extend(self, gates) -> None:

@@ -23,14 +23,13 @@ The writer emits a canonical form: writing, parsing and writing again is byte
 identical.
 """
 
+import dataclasses
 import json
 from itertools import chain, count, repeat
 
-from .analysis import AncillaRow, FormulaCheck, GarbageRow
 from .circuit import Circuit, Register, RegisterLayout
 from .gates import ARITY, KIND_ORDER, Gate
 from .metrics import Metrics
-from .sim import VerifyReport
 
 FORMAT_VERSION = 1
 MAX_QUBITS = 1 << 16
@@ -216,14 +215,11 @@ def parse_netlist(text: str) -> Circuit:
             continue
         if len(gates) == cap:
             raise NetlistError(f"gate {cap + 1} exceeds the limit of {cap} gates", lineno)
-        if fresh:
-            try:
-                circuit.append(entry)
-            except ValueError as exc:
-                raise NetlistError(str(exc), lineno) from None
-        else:
-            gates.append(entry)
         lines = entry.lines
+        # Circuit.append's range check; lines read by int() need no type check
+        if fresh and max(lines) >= width:
+            raise NetlistError(f"gate {head} {lines} out of range for width {width}", lineno)
+        gates.append(entry)
         if disjoint(lines):
             collect(lines)
         else:
@@ -256,48 +252,14 @@ def export_qasm(circuit: Circuit) -> str:
     )
 
 
-def _percent(value: float) -> str:
-    return f"{value:.2f}"
-
-
 def _jsonable(obj):
-    if isinstance(obj, Metrics):
-        return {
-            "gate_counts": {kind: obj.gate_counts.get(kind, 0) for kind in KIND_ORDER},
-            "gate_count": obj.gate_count,
-            "quantum_cost": obj.quantum_cost,
-            "ancilla_inputs": obj.ancilla_inputs,
-            "garbage_outputs": obj.garbage_outputs,
-            "asap_depth": obj.asap_depth,
-            "staged_delay": obj.staged_delay,
-        }
-    if isinstance(obj, VerifyReport):
-        return {
-            "ok": obj.ok,
-            "checked": obj.checked,
-            "mode": obj.mode,
-            "seed": obj.seed,
-            "garbage_outputs": obj.garbage_outputs,
-            "counterexamples": obj.counterexamples,
-        }
-    if isinstance(obj, AncillaRow):
-        return {
-            "n": obj.n,
-            "ours": obj.ours,
-            "kotiyal": obj.kotiyal,
-            "zhou": obj.zhou,
-            "imp_kotiyal": _percent(obj.imp_kotiyal),
-            "imp_zhou": _percent(obj.imp_zhou),
-        }
-    if isinstance(obj, GarbageRow):
-        return {"n": obj.n, "kotiyal": obj.kotiyal, "zhou": obj.zhou, "imp": obj.imp}
-    if isinstance(obj, FormulaCheck):
-        return {
-            "ok": obj.ok,
-            "max_n": obj.max_n,
-            "checked": obj.checked,
-            "mismatches": obj.mismatches,
-        }
+    if dataclasses.is_dataclass(obj):
+        out = {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        if isinstance(obj, Metrics):
+            out["gate_counts"] = {kind: obj.gate_counts.get(kind, 0) for kind in KIND_ORDER}
+        return out
+    if isinstance(obj, float):
+        return f"{obj:.2f}"
     if isinstance(obj, (list, tuple)):
         return [_jsonable(item) for item in obj]
     if isinstance(obj, dict):
@@ -308,6 +270,8 @@ def _jsonable(obj):
 def metrics_json(obj) -> str:
     """Stable-key JSON for metrics, verification reports and table rows.
 
-    Integers stay exact; percentages are rendered as 2-decimal strings.
+    A report's keys follow its dataclass's field order, and `gate_counts`
+    lists every kind in KIND_ORDER, zero-filled. Integers stay exact; floats
+    (the table percentages) are rendered as 2-decimal strings.
     """
     return json.dumps(_jsonable(obj), indent=2) + "\n"

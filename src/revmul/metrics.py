@@ -14,16 +14,17 @@ class Metrics:
     garbage_outputs is a semantic property: structural analysis cannot prove a
     line is not garbage, so it stays None until the verification harness
     certifies it. For circuits whose stage marks are honest parallel layers,
-    asap_depth <= staged_delay <= quantum_cost.
+    asap_depth <= staged_delay <= quantum_cost. The field order is the key
+    order of the JSON report (`io.metrics_json`).
     """
 
     gate_counts: dict[str, int] = field(default_factory=dict)
     gate_count: int = 0
     quantum_cost: int = 0
     ancilla_inputs: int = 0
+    garbage_outputs: int | None = None
     asap_depth: int | None = None
     staged_delay: int | None = None
-    garbage_outputs: int | None = None
 
 
 def _costs(circuit: Circuit) -> list[int]:

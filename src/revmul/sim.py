@@ -187,15 +187,16 @@ class VerifyReport:
 
     garbage_outputs is 0 once the sweep passes: every non-result line came
     back holding its entry value on every tested input, so no output had to be
-    discarded. It stays None on failure.
+    discarded. It stays None on failure. The field order is the key order of
+    the JSON report (`io.metrics_json`).
     """
 
     ok: bool
     checked: int
     mode: str  # "exhaustive" or "random"
     seed: int | None = None
-    counterexamples: list = field(default_factory=list)
     garbage_outputs: int | None = None
+    counterexamples: list = field(default_factory=list)
 
 
 def _transpose(rows: list[int], bits: int) -> list[int]:

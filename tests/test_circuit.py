@@ -1,6 +1,7 @@
 import pytest
 
 from revmul import Circuit, Register, RegisterLayout, cnot, swap, toffoli
+from revmul.gates import Gate
 from revmul.synth import multiplier_layout
 
 
@@ -63,6 +64,17 @@ def test_append_out_of_range():
     circ = Circuit(RegisterLayout([Register("R", 0, 17)]))
     with pytest.raises(ValueError, match="out of range"):
         circ.append(cnot(0, 17))
+
+
+@pytest.mark.parametrize("lines", [(0.0, 1.5), (True, 2)], ids=["float", "bool"])
+def test_append_refuses_a_line_that_is_not_a_plain_int(lines):
+    # Gate accepts these, but the writer would print a line the parser rejects
+    circ = Circuit(RegisterLayout([Register("R", 0, 4)]))
+    with pytest.raises(ValueError, match="not a plain int"):
+        circ.append(Gate("cx", lines))
+    with pytest.raises(ValueError, match="not a plain int"):
+        circ.extend([cnot(0, 1), Gate("cx", lines)])
+    assert circ.gates == [cnot(0, 1)]
 
 
 def test_marked_stages():

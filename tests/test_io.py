@@ -1,13 +1,17 @@
+import ast
 import hashlib
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import revmul.analysis
 import revmul.cli
 import revmul.io
+import revmul.sim
 from revmul import (
     Circuit,
     NetlistError,
@@ -17,13 +21,17 @@ from revmul import (
     build_controlled_ror,
     build_multiplier,
     build_ror,
+    check_formulas,
     export_qasm,
     fredkin,
+    garbage_rows,
     metrics_json,
     parse_netlist,
     run,
+    structural_metrics,
     swap,
     verify_multiplier,
+    verify_rotate,
     write_netlist,
 )
 from revmul.analysis import ancilla_rows, formula_metrics
@@ -293,6 +301,140 @@ def test_json_stable_key_order():
     b = metrics_json(formula_metrics("ror", 4))
     assert a == b
     assert a.index('"gate_counts"') < a.index('"quantum_cost"') < a.index('"staged_delay"')
+
+
+def test_metrics_json_text_pinned():
+    assert metrics_json(formula_metrics("ror", 4)) == (
+        '{\n  "gate_counts": {\n    "cx": 0,\n    "ccx": 0,\n    "cswap": 0,\n    "swap": 7\n  },\n'
+        '  "gate_count": 7,\n  "quantum_cost": 21,\n  "ancilla_inputs": 0,\n'
+        '  "garbage_outputs": null,\n  "asap_depth": null,\n  "staged_delay": 6\n}\n'
+    )
+    assert metrics_json(verify_multiplier(3, mode="random", count=5, seed=9)) == (
+        '{\n  "ok": true,\n  "checked": 5,\n  "mode": "random",\n  "seed": 9,\n'
+        '  "garbage_outputs": 0,\n  "counterexamples": []\n}\n'
+    )
+
+
+def _damaged(circuit):
+    """The circuit without its last gate, which every sweep below rejects."""
+    damaged = Circuit(circuit.layout)
+    damaged.extend(circuit.gates[:-1])
+    return damaged
+
+
+def _damage_rotates(monkeypatch):
+    monkeypatch.setattr(revmul.sim, "build_ror", lambda width: _damaged(build_ror(width)))
+    monkeypatch.setattr(
+        revmul.sim, "build_controlled_ror", lambda width: _damaged(build_controlled_ror(width))
+    )
+
+
+def _failing_formula_check(monkeypatch):
+    monkeypatch.setattr(revmul.analysis, "build_ror", lambda width: _damaged(build_ror(width)))
+    return check_formulas(3)
+
+
+# Every report kind `metrics_json` encodes, with zero-filled gate counts, null
+# fields, echoed seeds and counterexamples; each takes pytest's monkeypatch.
+JSON_REPORTS = {
+    "formula mul n=4": lambda mp: formula_metrics("mul", 4),
+    "formula addnop n=3": lambda mp: formula_metrics("addnop", 3),
+    "formula ror n=4": lambda mp: formula_metrics("ror", 4),
+    "structural mul n=3": lambda mp: structural_metrics(build_multiplier(3)),
+    "structural cror width 6": lambda mp: structural_metrics(build_controlled_ror(6)),
+    "verify mul exhaustive": lambda mp: verify_multiplier(3),
+    "verify mul random": lambda mp: verify_multiplier(8, mode="random", count=50, seed=5),
+    "verify mul exhaustive failing": lambda mp: verify_multiplier(
+        3, circuit=_damaged(build_multiplier(3))
+    ),
+    "verify mul random failing": lambda mp: verify_multiplier(
+        4, mode="random", count=40, seed=7, circuit=_damaged(build_multiplier(4))
+    ),
+    "verify ror exhaustive": lambda mp: verify_rotate(7),
+    "verify ror random": lambda mp: verify_rotate(16, mode="random", count=30, seed=11),
+    "verify ror failing": lambda mp: (_damage_rotates(mp), verify_rotate(6))[1],
+    "verify cror exhaustive": lambda mp: verify_rotate(4, controlled=True),
+    "verify cror random": lambda mp: verify_rotate(
+        12, mode="random", count=30, seed=2, controlled=True
+    ),
+    "verify cror random failing": lambda mp: (_damage_rotates(mp), verify_rotate(
+        12, mode="random", count=30, seed=2, controlled=True
+    ))[1],
+    "ancilla rows": lambda mp: ancilla_rows(),
+    "garbage rows": lambda mp: garbage_rows(),
+    "formula check": lambda mp: check_formulas(4),
+    "formula check failing": _failing_formula_check,
+}
+
+JSON_SHA256 = {
+    "ancilla rows": "1a7dd81818c3e387a776d3b3e5f8344a881c2056477cbe6316f5d00b77d4a71b",
+    "formula addnop n=3": "d001f69861f56a327622ea133e4102e4717b88e76a98a6bbb81b8be73765014f",
+    "formula check": "e30716e587dcd17c8806b29d38bac0d5d48fd412bd9ff849c50cbc8ac1f86e5b",
+    "formula check failing": "ca28dac58460e49e1188eaf1ead26058870b5447f193661b35a6ac7bde7d00e1",
+    "formula mul n=4": "b0cd35646c9c5c6aa0a5e67658ff5762c2bad5dd8dabdc2e9963fd7097348777",
+    "formula ror n=4": "17fdc6fa75fca9d8097a475b422fa824a90e5422eea170e88588736c35a50363",
+    "garbage rows": "2b58a25524db9948f510162e1a38d2992b07f31adac6716fefaec53ad36d9281",
+    "structural cror width 6": "3aaaf887996fcf1cf7763cdfb6ad733816d9c81464e42853f59a6af951614aa3",
+    "structural mul n=3": "dc3590c411cd666131352f44eb00b256b6b197ac33936f24de6be489cefdafe1",
+    "verify cror exhaustive": "ace4e98e35c5ffb893bcd8cb843646be042c3f7ebff958245c3ccbfcaf6e9d77",
+    "verify cror random": "8892d044ec042c77d59cbdd8487e7f29c55b85d0ababfef85c4fdef0a9107387",
+    "verify cror random failing": "298132569ded35dc2c104e353a3c7e4807563f5b9e409d44c90fb0130da41faa",
+    "verify mul exhaustive": "4f14f72f4770e8a0ef1d93660b3dd60e81b280cafb05a284287157b91bfedb11",
+    "verify mul exhaustive failing": "931578de1b086f33fefd1ce9b25b5f5233d6410192de62c03436cd3f70205858",
+    "verify mul random": "ac95a28fc0236dc0258bce2cb5e275c541b0eb6152ff657b7b9cfb04ea7c24b4",
+    "verify mul random failing": "399dd223a35495182acff72fba853a9625bb7312872306f3246047bdc1a4f53f",
+    "verify ror exhaustive": "ed734e31937dca01f9d05c2fb7871e3ab2cd1fbe89694b918fb63f836fb45617",
+    "verify ror failing": "fa136c6816fea0622c11e5d4693ca8a62ed654f0f9bb5106dc60dda0a2c25088",
+    "verify ror random": "6e2dd6328dd43173c2ca45d26a07b2577ea4d378c42d826f370769f631670744",
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_REPORTS))
+def test_metrics_json_bytes_pinned(name, monkeypatch):
+    text = metrics_json(JSON_REPORTS[name](monkeypatch))
+    assert hashlib.sha256(text.encode()).hexdigest() == JSON_SHA256[name]
+
+
+# argv -> (exit code, sha256 of stdout); `damaged` runs with the rotates damaged
+CLI_JSON_SHA256 = {
+    "verify mul --n 3 --json": (
+        0, "4f14f72f4770e8a0ef1d93660b3dd60e81b280cafb05a284287157b91bfedb11"
+    ),
+    "damaged verify ror --width 6 --random 5 --seed 3 --json": (
+        1, "16141833e930df29477d0054c5442b48eba924567acd098ea8bdf39f52cfef0a"
+    ),
+    "compare --which ancilla --format json": (
+        0, "1a7dd81818c3e387a776d3b3e5f8344a881c2056477cbe6316f5d00b77d4a71b"
+    ),
+    "compare --which garbage --format json": (
+        0, "2b58a25524db9948f510162e1a38d2992b07f31adac6716fefaec53ad36d9281"
+    ),
+    "compare --which ancilla --format json --max-n 8": (
+        0, "539bcfd94383f8ce1e25b04ccf0b3f7d38ce5a07a5abd79790b7238119029582"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CLI_JSON_SHA256))
+def test_cli_json_bytes_pinned(argv, monkeypatch, capsys):
+    words = argv.split()
+    if words[0] == "damaged":
+        _damage_rotates(monkeypatch)
+        words = words[1:]
+    code = revmul.cli.main(words)
+    text = capsys.readouterr().out
+    assert (code, hashlib.sha256(text.encode()).hexdigest()) == CLI_JSON_SHA256[argv]
+
+
+def test_io_imports_only_circuit_gates_and_metrics():
+    # read the source: importing revmul.io runs revmul/__init__, which imports
+    # every module, so sys.modules cannot show what io itself needs
+    tree = ast.parse(Path(revmul.io.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.update([node.module] if node.module else [a.name for a in node.names])
+    assert imported <= {"circuit", "gates", "metrics"}
 
 
 # ---------------------------------------------------------------- parser against a reference
