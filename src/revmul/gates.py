@@ -43,10 +43,20 @@ class Gate:
             raise ValueError(f"unknown gate kind {kind!r}")
         if len(lines) != arity:
             raise ValueError(f"{kind} takes {arity} lines, got {len(lines)}")
-        if min(lines) < 0:
-            raise ValueError(f"negative line index in {kind} gate: {lines}")
-        if len(set(lines)) != arity:
-            raise ValueError(f"duplicate line index in {kind} gate: {lines}")
+        # Unrolled by arity: plain comparisons cost less than a min() and a
+        # set() per gate.
+        if arity == 3:
+            x, y, z = lines
+            if x < 0 or y < 0 or z < 0:
+                raise ValueError(f"negative line index in {kind} gate: {lines}")
+            if x == y or x == z or y == z:
+                raise ValueError(f"duplicate line index in {kind} gate: {lines}")
+        else:
+            x, y = lines
+            if x < 0 or y < 0:
+                raise ValueError(f"negative line index in {kind} gate: {lines}")
+            if x == y:
+                raise ValueError(f"duplicate line index in {kind} gate: {lines}")
         _set_kind(self, kind)
         _set_lines(self, lines)
 

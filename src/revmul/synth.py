@@ -187,18 +187,17 @@ def build_multiplier(n: int) -> Circuit:
         return circ
     addnop_len = len(circ.gates)
     _emit_ror(circ, p)
-    template = [(g.kind, g.lines, g.lines[1:]) for g in circ.gates]
+    kinds = [g.kind for g in circ.gates]
+    lines = [g.lines for g in circ.gates]
+    toffolis = [(i, g.lines[1:]) for i, g in enumerate(circ.gates) if g.kind == TOFFOLI]
     template_marks = list(circ.stage_marks)
     gates, marks = circ.gates, circ.stage_marks
     for m in range(1, n):
         control = (a.line(m),)
-        block = template if m < n - 1 else template[:addnop_len]
+        for i, tail in toffolis:
+            lines[i] = control + tail
+        block = kinds if m < n - 1 else kinds[:addnop_len]
         base = len(gates)
-        gates.extend(
-            [
-                Gate(kind, control + tail if kind == TOFFOLI else lines)
-                for kind, lines, tail in block
-            ]
-        )
+        gates.extend(map(Gate, block, lines))
         marks.extend([base + mark for mark in template_marks if mark <= len(block)])
     return circ

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -287,6 +288,33 @@ def test_verify_json_output(capsys):
     assert main(["verify", "mul", "--n", "2", "--json"]) == 0
     printed = capsys.readouterr().out
     assert '"ok": true' in printed and '"checked": 16' in printed
+
+
+@pytest.mark.parametrize(
+    "argv, stdout, stderr",
+    [
+        (
+            "verify mul --n 3",
+            "mul n=3: mode=exhaustive checked=64 ok\n",
+            r"mul n=3: 64 pairs in \d+\.\d{6} s, \d+ pairs/s\n",
+        ),
+        (
+            "verify ror --width 9 --random 20 --seed 5",
+            "ror width=9: mode=random seed=5 checked=20 ok\n",
+            r"ror width=9: 20 states in \d+\.\d{6} s, \d+ states/s\n",
+        ),
+        (
+            "verify mul --n 2 --json",
+            revio.metrics_json(sim.verify_multiplier(2)),
+            r"mul n=2: 16 pairs in \d+\.\d{6} s, \d+ pairs/s\n",
+        ),
+    ],
+)
+def test_verify_timing_goes_to_stderr(argv, stdout, stderr, capsys):
+    assert main(argv.split()) == 0
+    printed = capsys.readouterr()
+    assert printed.out == stdout
+    assert re.fullmatch(stderr, printed.err)
 
 
 def test_compare_markdown_rows(capsys):

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revmul import CNOT, FREDKIN, SWAP, TOFFOLI, Gate, cnot, fredkin, swap, toffoli
+from revmul.gates import ARITY
 
 
 def test_primitive_costs():
@@ -65,6 +68,40 @@ def test_gate_fault_messages(kind, lines, message):
     with pytest.raises(ValueError) as info:
         Gate(kind, lines)
     assert str(info.value) == message
+
+
+def _reference_check(kind, lines):
+    """The gate check as first written, with min() and set(): the error
+    message for (kind, lines), or None when the gate is valid."""
+    lines = tuple(lines)
+    arity = ARITY.get(kind)
+    if arity is None:
+        return f"unknown gate kind {kind!r}"
+    if len(lines) != arity:
+        return f"{kind} takes {arity} lines, got {len(lines)}"
+    if min(lines) < 0:
+        return f"negative line index in {kind} gate: {lines}"
+    if len(set(lines)) != arity:
+        return f"duplicate line index in {kind} gate: {lines}"
+    return None
+
+
+@settings(max_examples=500)
+@given(st.sampled_from(sorted(ARITY) + ["x", "cnot", ""]), st.booleans(), st.data())
+def test_gate_check_matches_reference(kind, as_tuple, data):
+    # half the draws have the kind's own arity, so the sign and duplicate
+    # checks are reached as often as the arity check
+    size = data.draw(st.one_of(st.just(ARITY.get(kind, 2)), st.integers(0, 4)), label="size")
+    lines = data.draw(st.lists(st.integers(-3, 6), min_size=size, max_size=size), label="lines")
+    lines = tuple(lines) if as_tuple else lines
+    expected = _reference_check(kind, lines)
+    if expected is None:
+        gate = Gate(kind, lines)
+        assert gate.kind == kind and gate.lines == tuple(lines)
+    else:
+        with pytest.raises(ValueError) as info:
+            Gate(kind, lines)
+        assert str(info.value) == expected
 
 
 def test_lines_stored_as_tuple():

@@ -477,6 +477,23 @@ def test_lane_packed_run_equals_per_state_reference(circ, data):
         assert [lane(snapshot, k) for snapshot in snapshots] == want_snapshots
 
 
+@settings(deadline=None)
+@given(circuits(), st.data())
+def test_gates_are_involutions_on_lane_packed_states(circ, data):
+    lanes = data.draw(st.integers(1, 70), label="lanes")
+    state = data.draw(
+        st.lists(st.integers(0, (1 << lanes) - 1), min_size=circ.width, max_size=circ.width),
+        label="state",
+    )
+    reverse = Circuit(circ.layout)
+    reverse.extend(reversed(circ.gates))
+    assert run(reverse, run(circ, state)) == state
+    for gate in circ.gates:
+        twice = Circuit(circ.layout)
+        twice.extend([gate, gate])
+        assert run(twice, state) == state
+
+
 def reference_report(mode, seed, examples):
     """A VerifyReport from one check result per case in sweep order (None
     for a pass), as the per-case sweep built it."""

@@ -14,7 +14,7 @@ from revmul import (
     structural_metrics,
 )
 from revmul.circuit import Circuit
-from revmul.gates import FREDKIN, SWAP, TOFFOLI
+from revmul.gates import FREDKIN, SWAP, TOFFOLI, Gate
 from revmul.io import write_netlist
 from revmul.synth import _emit_addnop, _emit_ror, multiplier_layout
 
@@ -268,6 +268,24 @@ def test_multiplier_equals_checked_block_by_block_build(n):
 def test_multiplier_gates_are_distinct_objects():
     gates = build_multiplier(4).gates
     assert len({id(g) for g in gates}) == len(gates)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_multiplier_constructs_each_gate_once(n, monkeypatch):
+    calls = 0
+    checked_init = Gate.__init__
+
+    def counting_init(self, kind, lines):
+        nonlocal calls
+        calls += 1
+        checked_init(self, kind, lines)
+
+    monkeypatch.setattr(Gate, "__init__", counting_init)
+    circuit = build_multiplier(n)
+    assert calls == len(circuit.gates), (
+        f"n={n}: {calls} Gate constructions for {len(circuit.gates)} gates; "
+        "every emitted gate must be constructed, and so checked, exactly once"
+    )
 
 
 # sha256 of the .rev netlist, the digests the benchmark pins
