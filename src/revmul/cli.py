@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success or verified, 1 on verification failure, 2 on usage
 errors (including malformed inputs and netlist files, and sizes whose circuit
-would exceed MAX_GATES).
+would exceed MAX_GATES) and on running out of memory.
 """
 
 import argparse
@@ -40,7 +40,7 @@ MAX_GATES = revio.MAX_GATES
 
 # Largest random sweep `verify` will run: no more cases, and no more cases x
 # gates, than the largest exhaustive sweep (every pair of the multiplier at
-# the exhaustive limit, 2^24 pairs through 841 gates).
+# the exhaustive limit, 2^26 pairs through 989 gates).
 MAX_RANDOM_CASES = 1 << (2 * sim.EXHAUSTIVE_MULTIPLIER_LIMIT)
 MAX_RANDOM_WORK = MAX_RANDOM_CASES * GATE_COUNT["mul"](sim.EXHAUSTIVE_MULTIPLIER_LIMIT)
 
@@ -248,9 +248,13 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass  # reported below, once leaving the handler has freed the command's frames
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)
+    print("error: out of memory", file=sys.stderr)
+    return 2
 
 
 def entry() -> None:

@@ -9,12 +9,14 @@ simulates every lane at once. `run` is the only gate kernel. Given a
 boundary without copying it, so a traced run's memory is O(width) however
 many stages it has; a caller that keeps a stage's state must copy it.
 
-Both verifiers share one sweep, `_sweep`, which packs up to LANES cases into
-each `run` call. The references are bit-sliced too: each verifier computes
-the wanted exit state of a whole batch on the same lane ints (for the
-multiplier, a schoolbook product cross-checked against the add-and-rotate
-recurrence of `oracle_multiply`), so a sweep does no Python work per case,
-and an exhaustive sweep does not even build its cases one by one.
+Both verifiers share one sweep, `_sweep`, which packs each batch of cases
+into one `run` call: a batch gets the largest power of two of lanes whose
+lane ints, one per line, fit in BATCH_BITS bits. The references are
+bit-sliced too: each verifier computes the wanted exit state of a whole batch
+on the same lane ints (for the multiplier, a schoolbook product cross-checked
+against `_lane_add_and_rotate`, the add-and-rotate recurrence whose one-lane
+case is `oracle_multiply`), so a sweep does no Python work per case, and an
+exhaustive sweep does not even build its cases one by one.
 """
 
 import itertools
@@ -28,12 +30,11 @@ from .gates import FREDKIN, SWAP, TOFFOLI
 from .synth import build_controlled_ror, build_multiplier, build_ror, multiplier_layout
 
 MAX_COUNTEREXAMPLES = 16
-LANES = 4096  # cases per `run` call in a verification sweep
-# Most lanes x lines one sweep batch may transpose: a wider circuit gets fewer
-# lanes per batch, so a batch's strings and ints stay near 10 MiB at any width.
+# Most lanes x lines in one sweep batch: a wider circuit gets fewer lanes per
+# batch, so a batch's strings and ints stay near 10 MiB at any width.
 BATCH_BITS = 1 << 22
-EXHAUSTIVE_MULTIPLIER_LIMIT = 12  # 2^24 pairs, about 1.5 s; beyond that use randomized mode
-EXHAUSTIVE_ROTATE_LIMIT = 20  # 2^20 states; beyond that use randomized mode
+EXHAUSTIVE_MULTIPLIER_LIMIT = 13  # 2^26 pairs, about 3 s; beyond that use randomized mode
+EXHAUSTIVE_ROTATE_LIMIT = 26  # 2^27 states for cror, about 0.5 s; beyond that use randomized mode
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # bit values -> binary digits
 
 
@@ -111,21 +112,13 @@ def oracle_rotate_right(bits: list[int]) -> list[int]:
     return list(bits[1:]) + list(bits[:1])
 
 
-def _window_add(p: int, b: int, n: int) -> int:
-    # Add b into the (n+1)-bit slice of p starting at bit n-1. The schedule
-    # keeps the slice's top bit 0 on entry, so the sum cannot overflow it.
-    low = p & ((1 << (n - 1)) - 1)
-    window = (p >> (n - 1)) + b
-    assert window < (1 << (n + 1)), "window overflow: carry slot was not clear"
-    return (window << (n - 1)) | low
-
-
 def oracle_multiply(n: int, a: int, b: int) -> int:
     """Register-level add-and-rotate product of two n-bit integers.
 
     This is the behavioral model the gate-level multiplier is checked
-    against (the verifier runs it bit-sliced, as `_lane_add_and_rotate`); it
-    must agree with native integer multiplication everywhere.
+    against: the one-lane case of `_lane_add_and_rotate`, which the verifier
+    runs bit-sliced. It must agree with native integer multiplication
+    everywhere.
     """
     if n < 1:
         raise ValueError(f"operand width must be >= 1, got {n}")
@@ -133,14 +126,8 @@ def oracle_multiply(n: int, a: int, b: int) -> int:
         raise ValueError(f"operand a={a} out of range for {n} bits")
     if not 0 <= b < (1 << n):
         raise ValueError(f"operand b={b} out of range for {n} bits")
-    p = 0
-    for i in range(n - 1):
-        if (a >> i) & 1:
-            p = _window_add(p, b, n)
-        p = (p >> 1) | ((p & 1) << (2 * n - 1))
-    if (a >> (n - 1)) & 1:
-        p = _window_add(p, b, n)
-    return p
+    p = _lane_add_and_rotate([a >> i & 1 for i in range(n)], [b >> i & 1 for i in range(n)])
+    return int(bytes(reversed(p)).translate(_DIGITS), 2)
 
 
 def _ripple_add(p: list[int], start: int, a_bit: int, b: list[int]) -> int:
@@ -169,15 +156,16 @@ def _lane_product(a: list[int], b: list[int]) -> list[int]:
 
 
 def _lane_add_and_rotate(a: list[int], b: list[int]) -> list[int]:
-    """`oracle_multiply` on lane-packed operands: each window add is a ripple
-    add, each rotate right a rotation of the list of lane ints."""
+    """The add-and-rotate recurrence on lane-packed operands: each window add
+    is a ripple add into P[n-1 : 2n], whose top bit the schedule keeps clear,
+    and each rotate right is `oracle_rotate_right` of the list of lane ints."""
     n = len(a)
     p = [0] * (2 * n)
     for i, a_bit in enumerate(a):
         overflow = _ripple_add(p, n - 1, a_bit, b)
         assert not overflow, "window overflow: carry slot was not clear"
         if i < n - 1:
-            p = p[1:] + p[:1]
+            p = oracle_rotate_right(p)
     return p
 
 
@@ -224,10 +212,12 @@ def _exhaustive_batches(drive: list, lanes: int):
     bits = sum(d is not None for d in drive)
     s = min(lanes.bit_length() - 1, bits)
     full = (1 << (1 << s)) - 1
-    # one period of bit i, 2^i zeros then 2^i ones, times 1 + 2^(2^(i+1)) + ...
-    patterns = [
-        full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i)) for i in range(s)
-    ]
+    patterns = []
+    for i in range(s):
+        x = ((1 << (1 << i)) - 1) << (1 << i)  # one period: 2^i zeros, then 2^i ones
+        for j in range(i + 1, s):  # doubled up to 2^s lanes, in time linear in them
+            x |= x << (1 << j)
+        patterns.append(x)
     for start in range(0, 1 << bits, 1 << s):
         state = [
             0 if d is None else patterns[d] if d < s else full * (start >> d & 1) for d in drive
@@ -248,13 +238,14 @@ def _sweep(mode, count, seed, too_big, build, drive, draw, want, explain) -> Ver
     draws of `draw(rng)`, a list of whole entry states as ints (bit i =
     line i).
 
-    Cases run LANES at a time through one `run` call (fewer when LANES times
-    the circuit's width exceeds BATCH_BITS). `want(state)` takes a batch's
-    lane-packed entry state and returns the lane-packed exit state it must
-    reach, plus an int whose set bits are lanes the references disagree on;
-    those lanes and every lane that ends anywhere else fail. The lowest
-    failing lanes are the first in sweep order: `explain(entry, out_bits)`
-    turns the first 16 into counterexamples.
+    Each batch runs through one `run` call, with the largest power of two of
+    lanes that is at most BATCH_BITS // width, and at least 1 lane.
+    `want(state)` takes a batch's lane-packed entry state and returns the
+    lane-packed exit state it must reach, plus an int whose set bits are
+    lanes the references disagree on; those lanes and every lane that ends
+    anywhere else fail. The lowest failing lanes are the first in sweep
+    order: `explain(entry, out_bits)` turns the first 16 into
+    counterexamples.
     """
     if mode == "exhaustive":
         if too_big:
@@ -268,7 +259,7 @@ def _sweep(mode, count, seed, too_big, build, drive, draw, want, explain) -> Ver
         raise ValueError(f"unknown verification mode {mode!r}")
     circuit = build()
     width = circuit.width
-    lanes = max(1, min(LANES, BATCH_BITS // width))
+    lanes = 1 << max(1, BATCH_BITS // width).bit_length() - 1
     if mode == "exhaustive":
         batches = _exhaustive_batches(drive, lanes)
     else:
@@ -305,7 +296,7 @@ def verify_multiplier(
     same pairs against the bit-sliced add-and-rotate recurrence of
     `oracle_multiply`; a pair the two disagree on fails. Exhaustive mode
     sweeps all 2^(2n) pairs and is limited to n <= EXHAUSTIVE_MULTIPLIER_LIMIT
-    (12); random mode draws `count` seeded pairs. Pass `circuit` to point the
+    (13); random mode draws `count` seeded pairs. Pass `circuit` to point the
     harness at a replacement netlist (for example a deliberately damaged one)
     over the n-bit multiplier's layout.
     """
@@ -357,7 +348,7 @@ def verify_rotate(
     controls = (0, 1) if controlled else (0,)
 
     def want(state):
-        rotated = state[1:width] + state[:1]
+        rotated = oracle_rotate_right(state[:width])
         if controlled:
             control = state[width]
             rotated = [x ^ (x ^ r) & control for x, r in zip(state, rotated)] + [control]

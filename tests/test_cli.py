@@ -86,9 +86,9 @@ def test_size_limit_boundary():
     "argv",
     [
         ["verify", "ror", "--width", "2", "--random", "1000000000000"],
-        ["verify", "ror", "--width", "2", "--random", str(2**24 + 1)],
-        ["verify", "cror", "--width", "1000", "--random", "14200000"],  # below 2^24 cases
-        ["verify", "mul", "--n", "418", "--random", "13470"],
+        ["verify", "ror", "--width", "2", "--random", str(2**26 + 1)],
+        ["verify", "cror", "--width", "1000", "--random", "66500000"],  # below 2^26 cases
+        ["verify", "mul", "--n", "418", "--random", "63361"],
     ],
 )
 def test_oversized_random_sweep_refused_before_building(argv, no_builders, capsys):
@@ -97,9 +97,9 @@ def test_oversized_random_sweep_refused_before_building(argv, no_builders, capsy
 
 
 def test_random_sweep_limit_is_the_largest_exhaustive_sweep(no_builders, capsys):
-    assert cli.MAX_RANDOM_CASES == 2**24 and cli.MAX_RANDOM_WORK == 2**24 * 841
+    assert cli.MAX_RANDOM_CASES == 2**26 and cli.MAX_RANDOM_WORK == 2**26 * 989
     gates = cli.GATE_COUNT["mul"](418)
-    assert 13469 * gates <= cli.MAX_RANDOM_WORK < 13470 * gates
+    assert 63360 * gates <= cli.MAX_RANDOM_WORK < 63361 * gates
     # an oversized circuit is refused for its size first
     assert main(["verify", "mul", "--n", "419", "--random", "1000000000000"]) == 2
     assert f"above the limit of {MAX_GATES}" in capsys.readouterr().err
@@ -360,6 +360,22 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "ok" in proc.stdout
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+def test_out_of_memory_exits_two(tmp_path):
+    # the child caps its own address space at 128 MiB; building n = 418 peaks
+    # at about 211 MiB RSS, so it runs out of memory (exit 1 would be "failed")
+    src = str(Path(revmul.__file__).resolve().parents[1])
+    child = (
+        "import resource, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))\n"
+        "from revmul.cli import main\n"
+        f"sys.exit(main(['build', 'mul', '--n', '418', '--out', {str(tmp_path / 'm.rev')!r}]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
 
 
 # ---------------------------------------------------------------- values past the digit limit

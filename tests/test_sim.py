@@ -236,8 +236,8 @@ def test_verify_multiplier_seed_reproducible():
 
 
 def test_verify_multiplier_exhaustive_cap():
-    with pytest.raises(ValueError, match="n <= 12"):
-        verify_multiplier(13, mode="exhaustive")
+    with pytest.raises(ValueError, match="n <= 13"):
+        verify_multiplier(14, mode="exhaustive")
 
 
 def test_verify_multiplier_bad_mode():
@@ -266,7 +266,7 @@ def test_verify_checks_arguments_before_building(monkeypatch):
     for name in ("build_multiplier", "build_ror", "build_controlled_ror"):
         monkeypatch.setattr(sim, name, refuse)
     verifiers = (
-        (verify_multiplier, 13),
+        (verify_multiplier, 14),
         (verify_rotate, 300000),
         (functools.partial(verify_rotate, controlled=True), 300000),
     )
@@ -566,6 +566,13 @@ def _drop_last_gate_of(builder):
     return lambda width: _drop_last_gate(builder(width))
 
 
+def _pin_lanes(monkeypatch, lanes, width):
+    """Size the sweep's batches of a `width`-line circuit to `lanes` cases
+    (rounded down to a power of two) through the bit budget; return lanes."""
+    monkeypatch.setattr(sim, "BATCH_BITS", lanes * width)
+    return lanes
+
+
 @pytest.mark.parametrize("controlled, width", [(False, 14), (True, 13)])
 def test_exhaustive_rotate_sweep_over_several_batches_matches_reference(
     monkeypatch, controlled, width
@@ -574,29 +581,31 @@ def test_exhaustive_rotate_sweep_over_several_batches_matches_reference(
     monkeypatch.setattr(sim, "build_ror", _drop_last_gate_of(build_ror))
     monkeypatch.setattr(sim, "build_controlled_ror", _drop_last_gate_of(build_controlled_ror))
     damaged = (sim.build_controlled_ror if controlled else sim.build_ror)(width)
+    lanes = _pin_lanes(monkeypatch, 4096, damaged.width)
     examples = reference_rotate_examples(width, damaged, controlled, "exhaustive")
-    assert len(examples) > sim.LANES
+    assert len(examples) > lanes
     report = verify_rotate(width, controlled=controlled)
     assert report == reference_report("exhaustive", None, examples)
     assert not report.ok and len(report.counterexamples) == 16
 
 
-def test_random_sweep_one_past_a_batch_matches_reference():
+def test_random_sweep_one_past_a_batch_matches_reference(monkeypatch):
     damaged = _drop_last_gate(build_multiplier(4))
-    count = sim.LANES + 1
+    count = _pin_lanes(monkeypatch, 4096, damaged.width) + 1
     examples = reference_multiplier_examples(4, damaged, "random", count, seed=5)
     report = verify_multiplier(4, mode="random", count=count, seed=5, circuit=damaged)
     assert report == reference_report("random", 5, examples)
     assert not report.ok
 
 
-def test_first_counterexamples_spanning_two_batches_match_reference():
+def test_first_counterexamples_spanning_two_batches_match_reference(monkeypatch):
     circuit = flagged_multiplier(6)
-    count = 3 * sim.LANES
+    lanes = _pin_lanes(monkeypatch, 4096, circuit.width)
+    count = 3 * lanes
     examples = reference_multiplier_examples(6, circuit, "random", count, seed=3)
     failing = [i for i, example in enumerate(examples) if example is not None]
-    in_first = sum(i < sim.LANES for i in failing)
-    assert 0 < in_first < 16 <= sum(i < 2 * sim.LANES for i in failing) < len(failing)
+    in_first = sum(i < lanes for i in failing)
+    assert 0 < in_first < 16 <= sum(i < 2 * lanes for i in failing) < len(failing)
     report = verify_multiplier(6, mode="random", count=count, seed=3, circuit=circuit)
     assert report == reference_report("random", 3, examples)
 
@@ -608,9 +617,10 @@ def test_reports_do_not_depend_on_the_batch_size(monkeypatch, lanes):
     want_rand = verify_multiplier(3, mode="random", count=200, seed=8, circuit=damaged)
     monkeypatch.setattr(sim, "build_controlled_ror", _drop_last_gate_of(build_controlled_ror))
     want_rot = verify_rotate(5, mode="random", count=101, seed=2, controlled=True)
-    monkeypatch.setattr(sim, "LANES", lanes)
+    _pin_lanes(monkeypatch, lanes, damaged.width)
     assert verify_multiplier(3, circuit=damaged) == want_mul
     assert verify_multiplier(3, mode="random", count=200, seed=8, circuit=damaged) == want_rand
+    _pin_lanes(monkeypatch, lanes, build_controlled_ror(5).width)
     assert verify_rotate(5, mode="random", count=101, seed=2, controlled=True) == want_rot
     assert want_mul == reference_report(
         "exhaustive", None, reference_multiplier_examples(3, damaged, "exhaustive")
@@ -623,17 +633,39 @@ def test_sweep_batches_stay_within_the_bit_budget(monkeypatch):
 
     def transpose(rows, bits):
         sizes.append(len(rows) * bits)
-        assert len(rows) * bits <= sim.BATCH_BITS
+        assert len(rows) * bits <= max(sim.BATCH_BITS, bits)  # at least one case per batch
         return real(rows, bits)
 
     real = sim._transpose
     monkeypatch.setattr(sim, "_transpose", transpose)
     report = verify_rotate(width, mode="random", count=250, seed=4)
     assert report.ok and report.checked == 250
-    lanes = sim.BATCH_BITS // width
-    assert lanes < sim.LANES
-    # entry transpositions of two full batches and one partial batch
-    assert sizes == [lanes * width] * 2 + [(250 - 2 * lanes) * width]
+    lanes = 64  # the largest power of two within 2^22 // 40,000 = 104
+    assert lanes <= sim.BATCH_BITS // width < 2 * lanes
+    # entry transpositions of three full batches and one partial batch
+    assert sizes == [lanes * width] * 3 + [(250 - 3 * lanes) * width]
+
+    # a 12-line rotate, exhaustive (4,096 cases) and random (300 cases)
+    def recording(real):
+        def batches(*args):
+            for state, size in real(*args):
+                batch_sizes.append(size)
+                yield state, size
+
+        return batches
+
+    monkeypatch.setattr(sim, "_exhaustive_batches", recording(sim._exhaustive_batches))
+    monkeypatch.setattr(sim, "_random_batches", recording(sim._random_batches))
+    # the default budget (262,144 lanes, more than there are cases), 64 lanes,
+    # one bit short of 64 lanes, and budgets of the width and below it
+    for budget, lanes in [(1 << 22, 1 << 18), (12 * 64, 64), (12 * 64 - 1, 32), (12, 1), (11, 1), (1, 1)]:
+        monkeypatch.setattr(sim, "BATCH_BITS", budget)
+        batch_sizes = []
+        assert verify_rotate(12).ok
+        assert batch_sizes == [min(lanes, 4096)] * (4096 // min(lanes, 4096))
+        batch_sizes = []
+        assert verify_rotate(12, mode="random", count=300, seed=1).ok
+        assert batch_sizes == [lanes] * (300 // lanes) + [300 % lanes] * (300 % lanes > 0)
 
 
 # ---------------------------------------------------------------- register readout
@@ -669,10 +701,11 @@ def test_register_value_matches_per_bit_sum(layout):
 
 # ---------------------------------------------------------------- bit-sliced references
 
-def test_exhaustive_n7_counterexamples_match_a_per_case_reference():
+def test_exhaustive_n7_counterexamples_match_a_per_case_reference(monkeypatch):
     # the damaged multiplier first fails at a = 64, after two passing batches
     n = 7
     damaged = _drop_last_gate(build_multiplier(n))
+    lanes = _pin_lanes(monkeypatch, 4096, damaged.width)
     failures = []
     names = ("P", "A", "B", "Zcin")
     for a, b in itertools.product(range(1 << n), repeat=2):
@@ -683,7 +716,7 @@ def test_exhaustive_n7_counterexamples_match_a_per_case_reference():
             failures.append({"a": a, "b": b, "expected": expected, "got": got})
             if len(failures) == sim.MAX_COUNTEREXAMPLES:
                 break
-    assert (failures[0]["a"] << n) + failures[0]["b"] >= 2 * sim.LANES
+    assert (failures[0]["a"] << n) + failures[0]["b"] >= 2 * lanes
     report = verify_multiplier(n, circuit=damaged)
     assert report == VerifyReport(
         ok=False, checked=1 << 2 * n, mode="exhaustive", counterexamples=failures
@@ -708,18 +741,18 @@ def test_bit_sliced_references_equal_per_pair_products(data):
     pairs = data.draw(st.lists(st.tuples(operand, operand), min_size=1, max_size=70), label="pairs")
     a = pack_lanes([a for a, _ in pairs], n)
     b = pack_lanes([b for _, b in pairs], n)
-    assert unpack_lanes(sim._lane_product(a, b), len(pairs)) == [a * b for a, b in pairs]
-    assert unpack_lanes(sim._lane_add_and_rotate(a, b), len(pairs)) == [
-        oracle_multiply(n, a, b) for a, b in pairs
-    ]
+    # against native products: `oracle_multiply` is `_lane_add_and_rotate` on one lane
+    products = [a * b for a, b in pairs]
+    assert unpack_lanes(sim._lane_product(a, b), len(pairs)) == products
+    assert unpack_lanes(sim._lane_add_and_rotate(a, b), len(pairs)) == products
 
 
 @pytest.mark.parametrize(
     "block, size, lanes",
     [
-        ("mul", 3, 3), ("mul", 7, None),
-        ("ror", 6, 3), ("ror", 13, None),
-        ("cror", 5, 3), ("cror", 12, None),
+        ("mul", 3, 3), ("mul", 7, 4096),
+        ("ror", 6, 3), ("ror", 13, 4096),
+        ("cror", 5, 3), ("cror", 12, 4096),
     ],
 )
 def test_exhaustive_lane_patterns_follow_product_order(monkeypatch, block, size, lanes):
@@ -731,8 +764,7 @@ def test_exhaustive_lane_patterns_follow_product_order(monkeypatch, block, size,
 
     real_run = sim.run
     monkeypatch.setattr(sim, "run", recording_run)
-    if lanes is not None:
-        monkeypatch.setattr(sim, "LANES", lanes)
+    _pin_lanes(monkeypatch, lanes, {"mul": 4 * size + 1, "ror": size, "cror": size + 1}[block])
     if block == "mul":
         report = verify_multiplier(size)
         want = [a | b << size for a, b in itertools.product(range(1 << size), repeat=2)]
@@ -741,9 +773,19 @@ def test_exhaustive_lane_patterns_follow_product_order(monkeypatch, block, size,
         report = verify_rotate(size, controlled=block == "cror")
         want = [value | c << size for value, c in itertools.product(range(1 << size), controls)]
     assert report.ok and report.checked == len(want)
-    batch = 2 if lanes == 3 else min(sim.LANES, len(want))  # largest power of two within LANES
+    batch = 2 if lanes == 3 else min(lanes, len(want))  # largest power of two within lanes
     assert len(states) == len(want) // batch
     assert [entry for state in states for entry in unpack_lanes(state, batch)] == want
+
+
+def test_exhaustive_lane_patterns_up_to_2_20_lanes():
+    # read from the top lane down, index bit i is 2^i ones then 2^i zeros, repeated
+    for s in range(21):
+        lanes = 1 << s
+        patterns = [int(("1" * (1 << i) + "0" * (1 << i)) * (lanes >> i + 1), 2) for i in range(s)]
+        # an undriven line, then index bit s: all zeros in the first batch, all ones in the second
+        batches = list(sim._exhaustive_batches([*range(s), None, s], lanes))
+        assert batches == [(patterns + [0, 0], lanes), (patterns + [0, (1 << lanes) - 1], lanes)]
 
 
 def test_a_broken_recurrence_fails_exactly_the_pairs_it_breaks(monkeypatch):
