@@ -750,9 +750,9 @@ def test_bit_sliced_references_equal_per_pair_products(data):
 @pytest.mark.parametrize(
     "block, size, lanes",
     [
-        ("mul", 3, 3), ("mul", 7, 4096),
-        ("ror", 6, 3), ("ror", 13, 4096),
-        ("cror", 5, 3), ("cror", 12, 4096),
+        ("mul", 3, 3), ("mul", 7, 4096), ("mul", 7, None),
+        ("ror", 6, 3), ("ror", 13, 4096), ("ror", 13, None),
+        ("cror", 5, 3), ("cror", 12, 4096), ("cror", 12, None),
     ],
 )
 def test_exhaustive_lane_patterns_follow_product_order(monkeypatch, block, size, lanes):
@@ -764,7 +764,9 @@ def test_exhaustive_lane_patterns_follow_product_order(monkeypatch, block, size,
 
     real_run = sim.run
     monkeypatch.setattr(sim, "run", recording_run)
-    _pin_lanes(monkeypatch, lanes, {"mul": 4 * size + 1, "ror": size, "cror": size + 1}[block])
+    width = {"mul": 4 * size + 1, "ror": size, "cror": size + 1}[block]
+    if lanes is not None:  # None keeps the default bit budget
+        _pin_lanes(monkeypatch, lanes, width)
     if block == "mul":
         report = verify_multiplier(size)
         want = [a | b << size for a, b in itertools.product(range(1 << size), repeat=2)]
@@ -773,7 +775,8 @@ def test_exhaustive_lane_patterns_follow_product_order(monkeypatch, block, size,
         report = verify_rotate(size, controlled=block == "cror")
         want = [value | c << size for value, c in itertools.product(range(1 << size), controls)]
     assert report.ok and report.checked == len(want)
-    batch = 2 if lanes == 3 else min(lanes, len(want))  # largest power of two within lanes
+    # the largest power of two within the budget's lanes, capped by the case count
+    batch = min(1 << (sim.BATCH_BITS // width).bit_length() - 1, len(want))
     assert len(states) == len(want) // batch
     assert [entry for state in states for entry in unpack_lanes(state, batch)] == want
 
