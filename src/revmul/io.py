@@ -19,6 +19,8 @@ comparison tables describe (n=1024) has 4,097 lines. Every gate line is
 range-checked against that width, and gate line MAX_GATES + 1 (2^20 + 1) is
 refused, so no netlist can make the parser hold an unbounded gate list; the
 largest multiplier that fits is n = 418.
+The parser holds one slice of about _SLICE_CHARS characters as lines at a
+time, plus one memo entry per distinct line, never a list of every line.
 The writer emits a canonical form: writing, parsing and writing again is byte
 identical.
 """
@@ -34,6 +36,7 @@ from .metrics import Metrics
 FORMAT_VERSION = 1
 MAX_QUBITS = 1 << 16
 MAX_GATES = 1 << 20  # also the largest circuit `cli` builds
+_SLICE_CHARS = 1 << 16  # the parser splits the text into lines this much at a time
 
 
 class NetlistError(ValueError):
@@ -63,7 +66,8 @@ def _write(out: list[str], circuit: Circuit, render, separators) -> str:
         if separator is not None:
             append(separator)
         start = stop
-    return "\n".join(out) + "\n"
+    append("")  # the final newline, without a second copy of the joined text
+    return "\n".join(out)
 
 
 def write_netlist(circuit: Circuit) -> str:
@@ -87,6 +91,17 @@ def _parse_int(token: str, what: str, lineno: int) -> int:
 
 
 _SEPARATOR = object()  # what a `---` line parses to
+
+
+def _slices(text: str):
+    r"""`text` cut just after a "\n" once a slice holds _SLICE_CHARS characters.
+    A "\n" ends a line for `str.splitlines` and is never the first half of a
+    "\r\n", so the lines of the slices, in order, are `text.splitlines()`."""
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start + _SLICE_CHARS - 1) + 1 or end
+        yield text[start:stop]
+        start = stop
 
 
 def _parse_width(fields, width, lineno) -> int:
@@ -159,7 +174,7 @@ def parse_netlist(text: str) -> Circuit:
     clash = False  # two of them share a line, which its `---` reports
     saw_version = False
     last_line = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(chain.from_iterable(map(str.splitlines, _slices(text))), 1):
         entry = seen.get(raw)
         fresh = entry is None
         if fresh:

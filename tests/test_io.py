@@ -2,7 +2,9 @@ import ast
 import hashlib
 import random
 import re
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -649,6 +651,46 @@ def test_any_text_parses_or_raises_netlist_error(text):
         pass
 
 
+# ---------------------------------------------------------------- the parser's text slices
+
+# "\r\n" and every line boundary str.splitlines knows, between short words
+SPLIT_ALPHABET = [
+    "a", "b c", "#", "---", "\n", "\r", "\r\n", "\v", "\f",
+    "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+]
+SMALL_SLICES = st.integers(1, 48)  # boundaries inside headers, gates, comments and `---`
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(SPLIT_ALPHABET), max_size=60).map("".join),
+    st.sampled_from([1, 2, 3, 7, revmul.io._SLICE_CHARS]),
+)
+def test_slices_split_into_the_lines_of_splitlines(text, size):
+    with mock.patch.object(revmul.io, "_SLICE_CHARS", size):
+        slices = list(revmul.io._slices(text))
+    assert "".join(slices) == text
+    assert all(piece.endswith("\n") for piece in slices[:-1])
+    assert [line for piece in slices for line in piece.splitlines()] == text.splitlines()
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_netlists(), SMALL_SLICES)
+def test_parser_matches_reference_on_mutated_netlists_in_small_slices(text, size):
+    with mock.patch.object(revmul.io, "_SLICE_CHARS", size):
+        assert outcome(parse_netlist, text) == outcome(reference_parse, text)
+
+
+@settings(max_examples=250, deadline=None)
+@given(netlist_texts(), SMALL_SLICES)
+def test_any_text_in_small_slices_parses_or_raises_netlist_error(text, size):
+    with mock.patch.object(revmul.io, "_SLICE_CHARS", size):
+        try:
+            parse_netlist(text)
+        except NetlistError:
+            pass
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -702,6 +744,27 @@ def test_error_messages_are_pinned(text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "lineno, line, message",
+    [
+        (5916, "--- 1", "line 5916: stage separator takes no arguments"),
+        (5917, "cswap 218 91 999", "line 5917: gate cswap (218, 91, 999) out of range for width 257"),
+        (36997, "cx 3 3", "line 36997: duplicate line index in cx gate: (3, 3)"),
+    ],
+)
+def test_errors_after_the_first_slice_are_pinned(lineno, line, message):
+    text = write_netlist(build_multiplier(64))
+    lines = text.splitlines(keepends=True)
+    second = text.index("\n", revmul.io._SLICE_CHARS - 1) + 1  # where the second slice opens
+    assert sum(map(len, lines[:lineno - 1])) >= second == sum(map(len, lines[:5915]))
+    lines[lineno - 1] = line + "\n"
+    text = "".join(lines)
+    assert err(text) == message
+    with pytest.raises(NetlistError) as info:
+        reference_parse(text)
+    assert str(info.value) == message
+
+
 def test_gate_line_cap(monkeypatch):
     assert revmul.cli.MAX_GATES is revmul.io.MAX_GATES == 1 << 20
     monkeypatch.setattr(revmul.io, "MAX_GATES", 3)
@@ -731,3 +794,27 @@ def test_repeated_lines_share_one_gate():
     circ = parse_netlist(BASES["mul3"])
     assert circ == build_multiplier(3)
     assert len({id(gate) for gate in circ.gates}) < len(circ.gates)
+
+
+def _parse_transient_bytes(text):
+    """Peak traced allocation of parsing the text, beyond the circuit it returns."""
+    tracemalloc.start()
+    try:
+        circuit = parse_netlist(text)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert circuit.gates
+    return peak - current
+
+
+def test_parse_memory_does_not_grow_with_the_line_count():
+    text = write_netlist(build_multiplier(32))  # more than one slice
+    head, first, rest = text.partition("---\n")
+    stage, separator, tail = rest.partition("---\n")
+    copies = 25_000
+    grown = head + first + (stage + separator) * (copies + 1) + tail
+    added = copies * (stage.count("\n") + 1)
+    growth = _parse_transient_bytes(grown) - _parse_transient_bytes(text)
+    # the gate and mark lists belong to the circuit; a str per line is about 66 B
+    assert growth < 16 * added
