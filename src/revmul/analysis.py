@@ -24,7 +24,6 @@ from .synth import build_addnop, build_multiplier, build_ror
 ADDNOP = "addnop"
 ROR = "ror"
 MULTIPLIER = "mul"
-BLOCKS = (ADDNOP, ROR, MULTIPLIER)
 
 TABLE_SIZES = (4, 8, 16, 32, 64, 128, 256, 512, 1024)
 

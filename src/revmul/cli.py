@@ -10,25 +10,26 @@ import itertools
 import os
 import sys
 import time
+from collections import namedtuple
 
 from . import analysis, io as revio, sim, synth
 from .metrics import structural_metrics
 
-BUILDERS = {
-    "mul": lambda args: synth.build_multiplier(args.n),
-    "addnop": lambda args: synth.build_addnop(args.n),
-    "ror": lambda args: synth.build_ror(args.width),
-    "cror": lambda args: synth.build_controlled_ror(args.width),
-}
+_Block = namedtuple("_Block", "flag gates build exhaustive_up_to unit verify", defaults=(None,) * 3)
 
-SIZE_FLAG = {"mul": "n", "addnop": "n", "ror": "width", "cror": "width"}
-
-# Closed-form gate count of each block at its size (see `analysis`).
-GATE_COUNT = {
-    "mul": lambda n: 6 * n * n - 2 * n + 1,
-    "addnop": lambda n: 4 * n + 1,
-    "ror": lambda width: width - 1,
-    "cror": lambda width: width - 1,
+# Per block: its size flag; its closed-form gate count at a size (see
+# `analysis`); its builder; and, for `verify`, the largest size swept
+# exhaustively by default, what one case is, and its verifier. The lambdas
+# look `synth` and `sim` up at each call, so a rebound builder or verifier
+# is the one that runs.
+_BLOCKS = {
+    "mul": _Block("n", lambda n: 6 * n * n - 2 * n + 1, lambda n: synth.build_multiplier(n),
+                  5, "pairs", lambda n, **sweep: sim.verify_multiplier(n, **sweep)),
+    "addnop": _Block("n", lambda n: 4 * n + 1, lambda n: synth.build_addnop(n)),
+    "ror": _Block("width", lambda w: w - 1, lambda w: synth.build_ror(w),
+                  12, "states", lambda w, **sweep: sim.verify_rotate(w, **sweep)),
+    "cror": _Block("width", lambda w: w - 1, lambda w: synth.build_controlled_ror(w),
+                   12, "states", lambda w, **sweep: sim.verify_rotate(w, controlled=True, **sweep)),
 }
 
 # Largest circuit `build` and `verify` will construct, in gates, and the most
@@ -42,17 +43,18 @@ MAX_GATES = revio.MAX_GATES
 # gates, than the largest exhaustive sweep (every pair of the multiplier at
 # the exhaustive limit, 2^26 pairs through 989 gates).
 MAX_RANDOM_CASES = 1 << (2 * sim.EXHAUSTIVE_MULTIPLIER_LIMIT)
-MAX_RANDOM_WORK = MAX_RANDOM_CASES * GATE_COUNT["mul"](sim.EXHAUSTIVE_MULTIPLIER_LIMIT)
+MAX_RANDOM_WORK = MAX_RANDOM_CASES * _BLOCKS["mul"].gates(sim.EXHAUSTIVE_MULTIPLIER_LIMIT)
 
 
 def _size(args) -> int:
     """The block's size flag, refused before anything is built when its
     circuit would exceed MAX_GATES."""
-    flag = SIZE_FLAG[args.block]
+    block = _BLOCKS[args.block]
+    flag = block.flag
     value = getattr(args, flag)
     if value is None:
         raise ValueError(f"{args.block} requires --{flag}")
-    estimate = GATE_COUNT[args.block](value)
+    estimate = block.gates(value)
     if value > 0 and estimate > MAX_GATES:
         raise ValueError(
             f"{args.block} --{flag} {value} would have {estimate} gates, "
@@ -83,7 +85,7 @@ def _state_renderer(layout):
 
 def cmd_build(args) -> int:
     size = _size(args)
-    circuit = BUILDERS[args.block](args)
+    circuit = _BLOCKS[args.block].build(size)
     ext = "qasm" if args.format == "qasm" else "rev"
     path = args.out or f"{args.block}{size}.{ext}"
     text = revio.export_qasm(circuit) if args.format == "qasm" else revio.write_netlist(circuit)
@@ -121,6 +123,7 @@ def cmd_sim(args) -> int:
 
 def cmd_verify(args) -> int:
     size = _size(args)
+    block = _BLOCKS[args.block]
     if args.exhaustive and args.random is not None:
         raise ValueError("choose one of --exhaustive / --random")
     if args.exhaustive:
@@ -129,9 +132,8 @@ def cmd_verify(args) -> int:
         mode, count = "random", args.random
     else:
         # default: exhaustive while the sweep stays small, randomized above
-        threshold = 5 if args.block == "mul" else 12
-        mode, count = ("exhaustive", 0) if size <= threshold else ("random", 1000)
-    gates = GATE_COUNT[args.block](size)
+        mode, count = ("exhaustive", 0) if size <= block.exhaustive_up_to else ("random", 1000)
+    gates = block.gates(size)
     if count > MAX_RANDOM_CASES or count * gates > MAX_RANDOM_WORK:
         raise ValueError(
             f"--random {count} on a {gates}-gate circuit exceeds the largest exhaustive sweep: "
@@ -139,17 +141,10 @@ def cmd_verify(args) -> int:
         )
     seed = args.seed if args.seed is not None else _default_seed()
     start = time.perf_counter()
-    if args.block == "mul":
-        report = sim.verify_multiplier(size, mode=mode, count=count, seed=seed)
-        label = f"mul n={size}"
-    else:
-        report = sim.verify_rotate(
-            size, mode=mode, count=count, seed=seed, controlled=(args.block == "cror")
-        )
-        label = f"{args.block} width={size}"
+    report = block.verify(size, mode=mode, count=count, seed=seed)
     # Timing goes to stderr so that stdout, and so the JSON, stays byte-stable.
     elapsed = time.perf_counter() - start
-    unit = "pairs" if args.block == "mul" else "states"
+    label, unit = f"{args.block} {block.flag}={size}", block.unit
     rate = report.checked / elapsed
     print(f"{label}: {report.checked} {unit} in {elapsed:.6f} s, {rate:.0f} {unit}/s", file=sys.stderr)
     if args.json:
@@ -199,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--width", type=int, help="register width (ror, cror)")
 
     p = sub.add_parser("build", help="generate a circuit and write its netlist")
-    p.add_argument("block", choices=sorted(BUILDERS))
+    p.add_argument("block", choices=sorted(_BLOCKS))
     add_size_flags(p)
     p.add_argument("--format", choices=("rev", "qasm"), default="rev")
     p.add_argument("--out", help="output path (default <block><size>.<ext>)")

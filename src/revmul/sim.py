@@ -302,7 +302,6 @@ def verify_multiplier(
     """
     if circuit is not None and circuit.layout != multiplier_layout(n):
         raise ValueError(f"circuit layout {circuit.layout!r} is not the n={n} multiplier's")
-    mask = (1 << n) - 1
 
     def want(state):
         a, b = state[:n], state[n : 2 * n]
@@ -311,6 +310,7 @@ def verify_multiplier(
         return a + b + product + [0], disagree  # lines A, B, P, then Zcin = 0
 
     def explain(entry, out):
+        mask = (1 << n) - 1
         a, b = entry & mask, entry >> n & mask
         layout = multiplier_layout(n)
         got = {name: register_value(layout, out, name) for name in ("P", "A", "B", "Zcin")}

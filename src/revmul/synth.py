@@ -57,8 +57,9 @@ def controlled_ror_layout(width: int) -> RegisterLayout:
     return RegisterLayout([Register("P", 0, width), Register("C", width, 1)])
 
 
-def _emit_addnop(circ: Circuit, a: int, b: list[int], w: list[int], z: int) -> None:
-    """Controlled add of the n-line register b into the (n+1)-line window w.
+def _addnop_stages(a: int, b: list[int], w: list[int], z: int) -> list[list[Gate]]:
+    """Stages of the controlled add of the n-line register b into the
+    (n+1)-line window w.
 
     When line a is 1 the window gains the value of b; the top window line must
     enter as 0 and receives the final carry, so the sum never overflows. When
@@ -80,72 +81,76 @@ def _emit_addnop(circ: Circuit, a: int, b: list[int], w: list[int], z: int) -> N
     """
     n = len(b)
     if n == 1:
-        stages = [
+        return [
             [toffoli(a, b[0], w[0])],
             [fredkin(w[0], b[0], z)],
             [toffoli(a, b[0], w[1])],
             [fredkin(w[0], b[0], z)],
             [toffoli(a, z, w[0])],
         ]
-    else:
-        stages = []
-        for i in range(n - 1):  # upward carry sweep
-            stages.append([toffoli(a, z, w[i])])
-            layer = [fredkin(w[i], b[i], z)]
-            if i == n - 2:
-                layer.append(toffoli(a, b[n - 1], w[n - 1]))
-            stages.append(layer)
-        stages += [
-            [fredkin(w[n - 1], b[n - 1], z)],
-            [toffoli(a, b[n - 1], w[n])],  # final carry lands on the top window line
-            [fredkin(w[n - 1], b[n - 1], z)],
-            [toffoli(a, z, w[n - 1])],
-            [fredkin(w[n - 2], b[n - 2], z)],
-        ]
-        for i in range(n - 2, 0, -1):  # downward unwind
-            stages.append([toffoli(a, b[i], w[i]), fredkin(w[i - 1], b[i - 1], z)])
-        stages.append([toffoli(a, b[0], w[0])])
+    stages = []
+    for i in range(n - 1):  # upward carry sweep
+        stages.append([toffoli(a, z, w[i])])
+        layer = [fredkin(w[i], b[i], z)]
+        if i == n - 2:
+            layer.append(toffoli(a, b[n - 1], w[n - 1]))
+        stages.append(layer)
+    stages += [
+        [fredkin(w[n - 1], b[n - 1], z)],
+        [toffoli(a, b[n - 1], w[n])],  # final carry lands on the top window line
+        [fredkin(w[n - 1], b[n - 1], z)],
+        [toffoli(a, z, w[n - 1])],
+        [fredkin(w[n - 2], b[n - 2], z)],
+    ]
+    for i in range(n - 2, 0, -1):  # downward unwind
+        stages.append([toffoli(a, b[i], w[i]), fredkin(w[i - 1], b[i - 1], z)])
+    stages.append([toffoli(a, b[0], w[0])])
+    return stages
+
+
+def _ror_stages(lines: list[int]) -> list[list[Gate]]:
+    """Two layers of disjoint swaps realizing rotate-right-by-one.
+
+    Works for even and odd spans; a span of 2 degenerates to a single swap.
+    """
+    k = len(lines)
+    half = k // 2
+    first = [swap(lines[i], lines[k - 1 - i]) for i in range(half)]
+    second_count = half - 1 if k % 2 == 0 else half
+    second = [swap(lines[i], lines[k - 2 - i]) for i in range(second_count)]
+    return [first, second] if second else [first]
+
+
+def _circuit(layout: RegisterLayout, stages) -> Circuit:
+    """A circuit over `layout` holding `stages` in order, one mark per stage.
+
+    The builders draw every line from their layout, whose size is checked,
+    and their stage patterns are fixed, so each gate is in range and each
+    stage line-disjoint by construction: the stages go in without
+    Circuit.append's range check or mark_stage's disjointness scan. The
+    tests replay every builder's output through both.
+    """
+    circ = Circuit(layout)
+    gates, marks = circ.gates, circ.stage_marks
     for stage in stages:
-        circ.extend(stage)
-        circ.mark_stage()
+        gates += stage
+        marks.append(len(gates))
+    return circ
 
 
 def build_addnop(n: int) -> Circuit:
     """Standalone ADD/NOP block: add B into the (n+1)-line window P when the
     control line A is 1."""
     layout = addnop_layout(n)
-    circ = Circuit(layout)
     b, window = list(layout["B"].lines), list(layout["P"].lines)
-    _emit_addnop(circ, layout["A"].start, b, window, layout["Zcin"].start)
-    return circ
-
-
-def _ror_stages(lines: list[int]) -> list[list[tuple[int, int]]]:
-    """Two layers of disjoint transpositions realizing rotate-right-by-one.
-
-    Works for even and odd spans; a span of 2 degenerates to a single swap.
-    """
-    k = len(lines)
-    half = k // 2
-    first = [(lines[i], lines[k - 1 - i]) for i in range(half)]
-    second_count = half - 1 if k % 2 == 0 else half
-    second = [(lines[i], lines[k - 2 - i]) for i in range(second_count)]
-    return [first, second] if second else [first]
-
-
-def _emit_ror(circ: Circuit, lines: list[int]) -> None:
-    for stage in _ror_stages(lines):
-        circ.extend(swap(x, y) for x, y in stage)
-        circ.mark_stage()
+    return _circuit(layout, _addnop_stages(layout["A"].start, b, window, layout["Zcin"].start))
 
 
 def build_ror(width: int) -> Circuit:
     """Rotate-right-by-one over `width` lines: the bit on line p moves to line
     p-1 and line 0 wraps to the top. width-1 Swap gates in at most two
     parallel stages, so the depth stays 6 (3 at width 2) at any size."""
-    circ = Circuit(ror_layout(width))
-    _emit_ror(circ, list(range(width)))
-    return circ
+    return _circuit(ror_layout(width), _ror_stages(list(range(width))))
 
 
 def build_controlled_ror(width: int) -> Circuit:
@@ -155,11 +160,8 @@ def build_controlled_ror(width: int) -> Circuit:
     units each; kept for the cost/delay trade-off numbers, never used by the
     multiplier. The control is line `width`, just above the window.
     """
-    circ = Circuit(controlled_ror_layout(width))
-    for i in range(width - 1):
-        circ.append(fredkin(width, i, i + 1))
-        circ.mark_stage()
-    return circ
+    layout = controlled_ror_layout(width)
+    return _circuit(layout, ([fredkin(width, i, i + 1)] for i in range(width - 1)))
 
 
 def build_multiplier(n: int) -> Circuit:
@@ -170,23 +172,20 @@ def build_multiplier(n: int) -> Circuit:
     rotate unnecessary. P exits holding A*B, A and B exit unchanged and Zcin
     exits 0, so no output is garbage.
 
-    The first ADD/NOP and the first rotate go through the checked path
-    (Circuit.append and mark_stage); every later block is stamped from them.
-    ADD/NOP m differs from ADD/NOP 0 only in its control A[m], the first line
-    of each of its Toffolis, and no other gate of the block touches an A line,
-    so each copy keeps the template's range and per-stage disjointness.
+    The first ADD/NOP and the first rotate are assembled from their stage
+    generators, and every later block is stamped from them. ADD/NOP m
+    differs from ADD/NOP 0 only in its control A[m], the first line of each
+    of its Toffolis, and no other gate of the block touches an A line, so
+    each copy keeps the template's range and per-stage disjointness.
     """
     layout = multiplier_layout(n)
     a = layout["A"]
-    b = list(layout["B"].lines)
     p = list(layout["P"].lines)
-    window = p[-(n + 1):]
-    circ = Circuit(layout)
-    _emit_addnop(circ, a.line(0), b, window, layout["Zcin"].start)
+    addnop = _addnop_stages(a.start, list(layout["B"].lines), p[-(n + 1):], layout["Zcin"].start)
     if n == 1:
-        return circ
-    addnop_len = len(circ.gates)
-    _emit_ror(circ, p)
+        return _circuit(layout, addnop)
+    circ = _circuit(layout, addnop + _ror_stages(p))
+    addnop_len = circ.stage_marks[len(addnop) - 1]
     kinds = [g.kind for g in circ.gates]
     lines = [g.lines for g in circ.gates]
     toffolis = [(i, g.lines[1:]) for i, g in enumerate(circ.gates) if g.kind == TOFFOLI]

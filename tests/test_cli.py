@@ -79,7 +79,8 @@ def test_oversized_circuit_refused_before_building(argv, estimate, no_builders, 
 
 
 def test_size_limit_boundary():
-    assert cli.GATE_COUNT["mul"](418) <= MAX_GATES < cli.GATE_COUNT["mul"](419)
+    gates = cli._BLOCKS["mul"].gates
+    assert gates(418) <= MAX_GATES < gates(419)
 
 
 @pytest.mark.parametrize(
@@ -98,7 +99,7 @@ def test_oversized_random_sweep_refused_before_building(argv, no_builders, capsy
 
 def test_random_sweep_limit_is_the_largest_exhaustive_sweep(no_builders, capsys):
     assert cli.MAX_RANDOM_CASES == 2**26 and cli.MAX_RANDOM_WORK == 2**26 * 989
-    gates = cli.GATE_COUNT["mul"](418)
+    gates = cli._BLOCKS["mul"].gates(418)
     assert 63360 * gates <= cli.MAX_RANDOM_WORK < 63361 * gates
     # an oversized circuit is refused for its size first
     assert main(["verify", "mul", "--n", "419", "--random", "1000000000000"]) == 2
@@ -111,9 +112,9 @@ def test_random_sweep_limit_is_the_largest_exhaustive_sweep(no_builders, capsys)
 )
 def test_gate_count_matches_built_circuit(block, size, tmp_path, capsys):
     out = tmp_path / "c.rev"
-    flag = cli.SIZE_FLAG[block]
+    flag, gates = cli._BLOCKS[block][:2]
     assert main(["build", block, f"--{flag}", str(size), "--out", str(out)]) == 0
-    assert f"({cli.GATE_COUNT[block](size)} gates)" in capsys.readouterr().out
+    assert f"({gates(size)} gates)" in capsys.readouterr().out
 
 
 def test_sim_multiplies(tmp_path, capsys):
@@ -282,6 +283,15 @@ def test_verify_default_modes(capsys):
 
 def test_verify_exhaustive_cap_is_usage_error(capsys):
     assert main(["verify", "mul", "--n", "16", "--exhaustive"]) == 2
+
+
+@pytest.mark.parametrize("sweep", [[], ["--exhaustive"], ["--random", "5"]])
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_verify_width_below_one_is_usage_error(n, sweep, capsys):
+    assert main(["verify", "mul", "--n", n, *sweep]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == f"error: operand width must be >= 1, got {n}\n"
 
 
 def test_verify_json_output(capsys):

@@ -279,6 +279,18 @@ def test_verify_checks_arguments_before_building(monkeypatch):
             verify(size, mode="random", count=0)
 
 
+@pytest.mark.parametrize("n", [0, -1, -3])
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_verify_multiplier_rejects_a_width_below_one(n, mode):
+    with pytest.raises(ValueError, match=rf"^operand width must be >= 1, got {n}$"):
+        verify_multiplier(n, mode=mode)
+
+
+def test_verify_multiplier_reports_a_bad_mode_before_a_bad_width():
+    with pytest.raises(ValueError, match="unknown verification mode"):
+        verify_multiplier(-1, mode="bogus")
+
+
 def test_verify_multiplier_rejects_a_foreign_layout():
     with pytest.raises(ValueError, match="not the n=2 multiplier"):
         verify_multiplier(2, circuit=build_multiplier(3))

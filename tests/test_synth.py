@@ -16,7 +16,7 @@ from revmul import (
 from revmul.circuit import Circuit
 from revmul.gates import FREDKIN, SWAP, TOFFOLI, Gate
 from revmul.io import write_netlist
-from revmul.synth import _emit_addnop, _emit_ror, multiplier_layout
+from revmul.synth import _addnop_stages, _ror_stages, multiplier_layout
 
 
 # ---------------------------------------------------------------- ADD/NOP
@@ -244,6 +244,17 @@ def test_multiplier_stage_count():
         assert build_multiplier(n).stage_count == expected
 
 
+def checked(layout, stages):
+    """A circuit holding `stages`, built through Circuit's checked path:
+    `extend` range-checks every gate and `mark_stage` checks that each
+    stage's gates act on disjoint lines."""
+    circ = Circuit(layout)
+    for stage in stages:
+        circ.extend(stage)
+        circ.mark_stage()
+    return circ
+
+
 def reference_multiplier(n):
     """The multiplier emitted block by block through the checked path."""
     layout = multiplier_layout(n)
@@ -251,12 +262,12 @@ def reference_multiplier(n):
     p = list(layout["P"].lines)
     window = p[-(n + 1):]
     z = layout["Zcin"].start
-    circ = Circuit(layout)
-    for m in range(n - 1):
-        _emit_addnop(circ, layout["A"].line(m), b, window, z)
-        _emit_ror(circ, p)
-    _emit_addnop(circ, layout["A"].line(n - 1), b, window, z)
-    return circ
+    stages = []
+    for m in range(n):
+        if m:
+            stages += _ror_stages(p)
+        stages += _addnop_stages(layout["A"].line(m), b, window, z)
+    return checked(layout, stages)
 
 
 @pytest.mark.parametrize("n", range(1, 33))
@@ -270,8 +281,7 @@ def test_multiplier_gates_are_distinct_objects():
     assert len({id(g) for g in gates}) == len(gates)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_multiplier_constructs_each_gate_once(n, monkeypatch):
+def assert_constructs_each_gate_once(build, size, monkeypatch):
     calls = 0
     checked_init = Gate.__init__
 
@@ -281,11 +291,55 @@ def test_multiplier_constructs_each_gate_once(n, monkeypatch):
         checked_init(self, kind, lines)
 
     monkeypatch.setattr(Gate, "__init__", counting_init)
-    circuit = build_multiplier(n)
+    circuit = build(size)
     assert calls == len(circuit.gates), (
-        f"n={n}: {calls} Gate constructions for {len(circuit.gates)} gates; "
+        f"{build.__name__}({size}): {calls} Gate constructions for {len(circuit.gates)} gates; "
         "every emitted gate must be constructed, and so checked, exactly once"
     )
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_multiplier_constructs_each_gate_once(n, monkeypatch):
+    assert_constructs_each_gate_once(build_multiplier, n, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "build, size",
+    [(build_addnop, 1), (build_addnop, 6), (build_ror, 2), (build_ror, 9),
+     (build_controlled_ror, 2), (build_controlled_ror, 9)],
+)
+def test_block_builders_construct_each_gate_once(build, size, monkeypatch):
+    assert_constructs_each_gate_once(build, size, monkeypatch)
+
+
+# The builders assemble their stages without Circuit's run-time checks; each
+# one's output must come back unchanged through them.
+@pytest.mark.parametrize(
+    "build, sizes",
+    [
+        (build_addnop, range(1, 41)),
+        (build_ror, range(2, 81)),
+        (build_controlled_ror, range(2, 81)),
+        (build_multiplier, range(1, 33)),
+    ],
+)
+def test_builders_pass_the_checked_path(build, sizes):
+    for size in sizes:
+        circ = build(size)
+        assert checked(circ.layout, circ.stages()) == circ, f"{build.__name__}({size})"
+
+
+def test_builders_never_call_the_checked_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a builder went through Circuit's run-time checks")
+
+    for name in ("append", "extend", "mark_stage"):
+        monkeypatch.setattr(Circuit, name, refuse)
+    build_addnop(5)
+    build_ror(8)
+    build_controlled_ror(8)
+    for n in (1, 2, 5):
+        build_multiplier(n)
 
 
 # sha256 of the .rev netlist, the digests the benchmark pins
