@@ -14,7 +14,7 @@ verbatim as cited constants, never re-derived.
 
 import io as _io
 import csv
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from decimal import ROUND_HALF_UP, Decimal
 
 from .gates import FREDKIN, SWAP, TOFFOLI
@@ -222,41 +222,35 @@ GARBAGE_FOOTNOTE = (
 )
 
 
-def render_markdown(rows, which: str) -> str:
-    lines = []
-    if which == "ancilla":
-        lines.append("| N | ours | Kotiyal et al. | Zhou et al. | %imp vs Kotiyal | %imp vs Zhou |")
-        lines.append("|---:|---:|---:|---:|---:|---:|")
-        for r in rows:
-            lines.append(
-                f"| {r.n} | {r.ours} | {r.kotiyal} | {r.zhou} "
-                f"| {r.imp_kotiyal:.2f} | {r.imp_zhou:.2f} |"
-            )
-    elif which == "garbage":
-        lines.append("| N | Kotiyal et al. | Zhou et al. | %imp (ours: 0 garbage) |")
-        lines.append("|---:|---:|---:|---:|")
-        for r in rows:
-            lines.append(f"| {r.n} | {r.kotiyal} | {r.zhou} | {r.imp} |")
-        if any(r.n == 1024 for r in rows):
-            lines.append("")
-            lines.append(f"Note: {GARBAGE_FOOTNOTE}.")
-    else:
+# Each table's row type and its markdown headings, one per field.
+_TABLES = {
+    "ancilla": (
+        AncillaRow,
+        ("N", "ours", "Kotiyal et al.", "Zhou et al.", "%imp vs Kotiyal", "%imp vs Zhou"),
+    ),
+    "garbage": (GarbageRow, ("N", "Kotiyal et al.", "Zhou et al.", "%imp (ours: 0 garbage)")),
+}
+
+
+def _table(which: str, rows) -> tuple:
+    """(row type, headings, cells of each row), a float cell with 2 decimals."""
+    if which not in _TABLES:
         raise ValueError(f"unknown table kind {which!r}")
+    cells = [[f"{x:.2f}" if isinstance(x, float) else str(x) for x in astuple(r)] for r in rows]
+    return *_TABLES[which], cells
+
+
+def render_markdown(rows, which: str) -> str:
+    _, headings, cells = _table(which, rows)
+    lines = ["| " + " | ".join(row) + " |" for row in [headings, *cells]]
+    lines.insert(1, "|" + "---:|" * len(headings))
+    if which == "garbage" and any(r.n == 1024 for r in rows):
+        lines += ["", f"Note: {GARBAGE_FOOTNOTE}."]
     return "\n".join(lines) + "\n"
 
 
 def render_csv(rows, which: str) -> str:
+    row_type, _, cells = _table(which, rows)
     out = _io.StringIO()
-    writer = csv.writer(out)
-    if which == "ancilla":
-        writer.writerow(["n", "ours", "kotiyal", "zhou", "imp_kotiyal", "imp_zhou"])
-        for r in rows:
-            writer.writerow([r.n, r.ours, r.kotiyal, r.zhou, f"{r.imp_kotiyal:.2f}", f"{r.imp_zhou:.2f}"])
-    elif which == "garbage":
-        writer.writerow(["n", "kotiyal", "zhou", "imp"])
-        for r in rows:
-            writer.writerow([r.n, r.kotiyal, r.zhou, r.imp])
-    else:
-        raise ValueError(f"unknown table kind {which!r}")
+    csv.writer(out).writerows([[f.name for f in fields(row_type)], *cells])
     return out.getvalue()
-

@@ -63,8 +63,16 @@ def _size(args) -> int:
     return value
 
 
+def _integer(raw: str, source: str) -> int:
+    """`raw` as a Python integer literal; a bad one names where it came from."""
+    try:
+        return int(raw, 0)
+    except ValueError:
+        raise ValueError(f"{source} must be an integer, got {raw!r}") from None
+
+
 def _default_seed() -> int:
-    return int(os.environ.get("REVMUL_SEED", "0"), 0)
+    return _integer(os.environ.get("REVMUL_SEED", "0"), "REVMUL_SEED")
 
 
 def _state_renderer(layout):
@@ -109,7 +117,7 @@ def cmd_sim(args) -> int:
         name, eq, raw = item.partition("=")
         if not eq or not name:
             raise ValueError(f"input assignment must look like NAME=VALUE, got {item!r}")
-        values[name] = int(raw, 0)
+        values[name] = _integer(raw, f"the value of register {name}")
     state = sim.pack_state(circuit.layout, values)
     render = _state_renderer(circuit.layout)
     number = itertools.count(1)

@@ -11,7 +11,8 @@ many stages it has; a caller that keeps a stage's state must copy it.
 
 Both verifiers share one sweep, `_sweep`, which packs each batch of cases
 into one `run` call: a batch gets the largest power of two of lanes whose
-lane ints, one per line, fit in BATCH_BITS bits. The references are
+lane ints, one per line, fit in BATCH_BITS bits; each verifier's `drive`
+alone says which bit of a case's index each line carries. The references are
 bit-sliced too: each verifier computes the wanted exit state of a whole batch
 on the same lane ints (for the multiplier, a schoolbook product cross-checked
 against `_lane_add_and_rotate`, the add-and-rotate recurrence whose one-lane
@@ -27,7 +28,7 @@ from functools import reduce
 
 from .circuit import Circuit, RegisterLayout
 from .gates import FREDKIN, SWAP, TOFFOLI
-from .synth import build_controlled_ror, build_multiplier, build_ror, multiplier_layout
+from .synth import build_controlled_ror, build_multiplier, build_ror, multiplier_layout, ror_layout
 
 MAX_COUNTEREXAMPLES = 16
 # Most lanes x lines in one sweep batch: a wider circuit gets fewer lanes per
@@ -190,8 +191,8 @@ class VerifyReport:
 def _transpose(rows: list[int], bits: int) -> list[int]:
     """Transpose a bit matrix: `bits` ints out, bit k of out[j] = bit j of rows[k].
 
-    Turns whole-state ints (one per lane) into a lane-packed state (one int per
-    line). The bits move through strings at C speed: one binary row per input
+    Turns case indices (one per lane) into index-bit lanes (one int per index
+    bit). The bits move through strings at C speed: one binary row per input
     int, one stride slice per output int.
     """
     spec = f"0{bits}b"
@@ -199,17 +200,15 @@ def _transpose(rows: list[int], bits: int) -> list[int]:
     return [int(text[bits - 1 - j :: bits], 2) for j in range(bits)]
 
 
-def _exhaustive_batches(drive: list, lanes: int):
-    """Lane-packed entry states of every case in sweep order, with the number
-    of cases in each, a power of two no larger than `lanes` per batch.
+def _exhaustive_batches(bits: int, lanes: int):
+    """Index-bit lanes of every case index below 2^bits in order, with the
+    number of cases in each batch, a power of two no larger than `lanes`.
 
-    Case k drives line j with bit drive[j] of k (or 0 where drive[j] is
-    None), so there are 2^(driven lines) cases. Within a batch of 2^s
-    consecutive cases that starts at a multiple of 2^s, index bit i < s
-    follows the same pattern in every batch, 2^i zeros then 2^i ones across
-    the lanes, repeated; every higher bit is all zeros or all ones.
+    Within a batch of 2^s consecutive cases that starts at a multiple of
+    2^s, index bit i < s follows the same pattern in every batch, 2^i zeros
+    then 2^i ones across the lanes, repeated; every higher bit is all zeros
+    or all ones.
     """
-    bits = sum(d is not None for d in drive)
     s = min(lanes.bit_length() - 1, bits)
     full = (1 << (1 << s)) - 1
     patterns = []
@@ -219,24 +218,22 @@ def _exhaustive_batches(drive: list, lanes: int):
             x |= x << (1 << j)
         patterns.append(x)
     for start in range(0, 1 << bits, 1 << s):
-        state = [
-            0 if d is None else patterns[d] if d < s else full * (start >> d & 1) for d in drive
-        ]
-        yield state, 1 << s
+        yield patterns + [full * (start >> i & 1) for i in range(s, bits)], 1 << s
 
 
-def _random_batches(entries, width: int, lanes: int):
-    """Lane-packed entry states of the whole-state ints `entries`, `lanes` at
-    a time, with the number of cases in each."""
-    while batch := list(itertools.islice(entries, lanes)):
-        yield _transpose(batch, width), len(batch)
+def _random_batches(indices, bits: int, lanes: int):
+    """Index-bit lanes of the case indices `indices`, `lanes` cases at a
+    time, with the number of cases in each."""
+    while batch := list(itertools.islice(indices, lanes)):
+        yield _transpose(batch, bits), len(batch)
 
 
 def _sweep(mode, count, seed, too_big, build, drive, draw, want, explain) -> VerifyReport:
-    """Check the arguments, `build()` the circuit, then sweep every case the
-    lines of `drive` span (see `_exhaustive_batches`), or `count` seeded
-    draws of `draw(rng)`, a list of whole entry states as ints (bit i =
-    line i).
+    """Check the arguments, `build()` the circuit, then sweep every case
+    index the lines of `drive` span, or `count` seeded draws of `draw(rng)`,
+    a list of case indices. Case k drives line j with bit drive[j] of k, or 0
+    where drive[j] is None: the index-bit lanes of a batch map to its
+    lane-packed entry state once.
 
     Each batch runs through one `run` call, with the largest power of two of
     lanes that is at most BATCH_BITS // width, and at least 1 lane.
@@ -244,41 +241,44 @@ def _sweep(mode, count, seed, too_big, build, drive, draw, want, explain) -> Ver
     lane-packed exit state it must reach, plus an int whose set bits are
     lanes the references disagree on; those lanes and every lane that ends
     anywhere else fail. The lowest failing lanes are the first in sweep
-    order: `explain(entry, out_bits)` turns the first 16 into
-    counterexamples.
+    order: `explain(entry, out, expected)` turns the bits of the first 16,
+    one per line, into counterexamples.
     """
     if mode == "exhaustive":
         if too_big:
             raise ValueError(too_big)
-        report = VerifyReport(ok=False, checked=0, mode=mode)
     elif mode == "random":
         if count < 1:
             raise ValueError(f"random mode needs a positive count, got {count}")
-        report = VerifyReport(ok=False, checked=0, mode=mode, seed=seed)
     else:
         raise ValueError(f"unknown verification mode {mode!r}")
     circuit = build()
-    width = circuit.width
-    lanes = 1 << max(1, BATCH_BITS // width).bit_length() - 1
+    lanes = 1 << max(1, BATCH_BITS // circuit.width).bit_length() - 1
+    bits = sum(d is not None for d in drive)
     if mode == "exhaustive":
-        batches = _exhaustive_batches(drive, lanes)
+        batches = _exhaustive_batches(bits, lanes)
     else:
         rng = random.Random(seed)
-        batches = _random_batches((e for _ in range(count) for e in draw(rng)), width, lanes)
-    counterexamples = report.counterexamples
-    for state, size in batches:
+        batches = _random_batches((i for _ in range(count) for i in draw(rng)), bits, lanes)
+    counterexamples = []
+    checked = 0
+    for index, size in batches:
+        state = [0 if d is None else index[d] for d in drive]
+        del index  # a width-long list fewer alive beside `run`'s copy of the state
         out = run(circuit, state)
         expected, disagree = want(state)
         failed = reduce(operator.or_, map(operator.xor, out, expected), disagree)
         while failed and len(counterexamples) < MAX_COUNTEREXAMPLES:
             lane = (failed & -failed).bit_length() - 1
             failed &= failed - 1
-            entry = int(bytes([line >> lane & 1 for line in reversed(state)]).translate(_DIGITS), 2)
-            counterexamples.append(explain(entry, [line >> lane & 1 for line in out]))
-        report.checked += size
-    report.ok = not counterexamples
-    report.garbage_outputs = 0 if report.ok else None
-    return report
+            lane_bits = ([line >> lane & 1 for line in lines] for lines in (state, out, expected))
+            counterexamples.append(explain(*lane_bits))
+        checked += size
+        del state, out, expected  # free this batch's lists before the next is built
+    ok = not counterexamples
+    return VerifyReport(
+        ok, checked, mode, seed if mode == "random" else None, 0 if ok else None, counterexamples
+    )
 
 
 def verify_multiplier(
@@ -309,12 +309,13 @@ def verify_multiplier(
         disagree = reduce(operator.or_, map(operator.xor, product, _lane_add_and_rotate(a, b)), 0)
         return a + b + product + [0], disagree  # lines A, B, P, then Zcin = 0
 
-    def explain(entry, out):
-        mask = (1 << n) - 1
-        a, b = entry & mask, entry >> n & mask
+    def explain(entry, out, expected):
         layout = multiplier_layout(n)
-        got = {name: register_value(layout, out, name) for name in ("P", "A", "B", "Zcin")}
-        expected = {"P": a * b, "A": a, "B": b, "Zcin": 0}
+        a, b = (register_value(layout, entry, name) for name in ("A", "B"))
+        expected, got = (
+            {name: register_value(layout, lane, name) for name in ("P", "A", "B", "Zcin")}
+            for lane in (expected, out)
+        )
         return {"a": a, "b": b, "expected": expected, "got": got}
 
     limit = EXHAUSTIVE_MULTIPLIER_LIMIT
@@ -326,7 +327,7 @@ def verify_multiplier(
         lambda: build_multiplier(n) if circuit is None else circuit,
         # pair (a, b) is case a * 2^n + b: B takes the low index bits
         [*range(n, 2 * n), *range(n), *[None] * (2 * n + 1)],
-        lambda rng: [rng.randrange(1 << n) | rng.randrange(1 << n) << n],
+        lambda rng: [rng.randrange(1 << n) << n | rng.randrange(1 << n)],
         want,
         explain,
     )
@@ -345,7 +346,6 @@ def verify_rotate(
     controlled variant must equal it when the control is 1 and the identity
     when it is 0, with the control line itself preserved.
     """
-    controls = (0, 1) if controlled else (0,)
 
     def want(state):
         rotated = oracle_rotate_right(state[:width])
@@ -354,17 +354,14 @@ def verify_rotate(
             rotated = [x ^ (x ^ r) & control for x, r in zip(state, rotated)] + [control]
         return rotated, 0
 
-    def explain(entry, out):
-        value = entry & ((1 << width) - 1)
-        control = entry >> width if controlled else None
-        window = [int(digit) for digit in reversed(format(value, f"0{width}b"))]
-        tail = [] if control is None else [control]
-        expected = (window if control == 0 else oracle_rotate_right(window)) + tail
+    def explain(entry, out, expected):
+        value = register_value(ror_layout(width), entry, "P")  # lines 0..width-1 in both layouts
+        control = entry[width] if controlled else None
         return {"input": value, "control": control, "expected": expected, "got": out}
 
     def draw(rng):
         value = rng.getrandbits(width)
-        return [value | control << width for control in controls]
+        return [value << 1, value << 1 | 1] if controlled else [value]
 
     limit = EXHAUSTIVE_ROTATE_LIMIT
     return _sweep(

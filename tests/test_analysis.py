@@ -1,3 +1,6 @@
+import csv
+import io
+
 import pytest
 
 from revmul import (
@@ -11,6 +14,7 @@ from revmul import (
     structural_metrics,
 )
 from revmul.analysis import (
+    GARBAGE_FOOTNOTE,
     KOTIYAL_ANCILLA,
     KOTIYAL_GARBAGE,
     REPORTED_IMP_KOTIYAL,
@@ -148,3 +152,55 @@ def test_csv_render():
     assert lines[1] == "4,9,23,28,60.87,67.86"
     garbage = render_csv(garbage_rows(4), "garbage")
     assert garbage.strip().splitlines() == ["n,kotiyal,zhou,imp", "4,22,36,100%"]
+
+
+def reference_markdown(rows, which):
+    """The markdown tables as written column by column, before they were
+    rendered from the rows' fields."""
+    lines = []
+    if which == "ancilla":
+        lines.append("| N | ours | Kotiyal et al. | Zhou et al. | %imp vs Kotiyal | %imp vs Zhou |")
+        lines.append("|---:|---:|---:|---:|---:|---:|")
+        for r in rows:
+            lines.append(
+                f"| {r.n} | {r.ours} | {r.kotiyal} | {r.zhou} "
+                f"| {r.imp_kotiyal:.2f} | {r.imp_zhou:.2f} |"
+            )
+    else:
+        lines.append("| N | Kotiyal et al. | Zhou et al. | %imp (ours: 0 garbage) |")
+        lines.append("|---:|---:|---:|---:|")
+        for r in rows:
+            lines.append(f"| {r.n} | {r.kotiyal} | {r.zhou} | {r.imp} |")
+        if any(r.n == 1024 for r in rows):
+            lines.append("")
+            lines.append(f"Note: {GARBAGE_FOOTNOTE}.")
+    return "\n".join(lines) + "\n"
+
+
+def reference_csv(rows, which):
+    """The CSV tables as written column by column."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    if which == "ancilla":
+        writer.writerow(["n", "ours", "kotiyal", "zhou", "imp_kotiyal", "imp_zhou"])
+        for r in rows:
+            writer.writerow([r.n, r.ours, r.kotiyal, r.zhou, f"{r.imp_kotiyal:.2f}", f"{r.imp_zhou:.2f}"])
+    else:
+        writer.writerow(["n", "kotiyal", "zhou", "imp"])
+        for r in rows:
+            writer.writerow([r.n, r.kotiyal, r.zhou, r.imp])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("which, make_rows", [("ancilla", ancilla_rows), ("garbage", garbage_rows)])
+@pytest.mark.parametrize("max_n", TABLE_SIZES)
+def test_tables_match_the_column_by_column_renderers(max_n, which, make_rows):
+    rows = make_rows(max_n)
+    assert render_markdown(rows, which) == reference_markdown(rows, which)
+    assert render_csv(rows, which) == reference_csv(rows, which)
+
+
+@pytest.mark.parametrize("render", [render_markdown, render_csv])
+def test_unknown_table_kind_is_refused(render):
+    with pytest.raises(ValueError, match="unknown table kind 'delay'"):
+        render(ancilla_rows(4), "delay")

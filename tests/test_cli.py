@@ -141,6 +141,16 @@ def test_sim_missing_register_named(tmp_path, capsys):
     assert "register B" in capsys.readouterr().err
 
 
+def test_sim_bad_value_names_the_register(tmp_path, capsys):
+    path = tmp_path / "mul2.rev"
+    main(["build", "mul", "--n", "2", "--out", str(path)])
+    capsys.readouterr()
+    assert main(["sim", str(path), "--set", "A=", "--set", "B=3"]) == 2
+    assert capsys.readouterr().err == "error: the value of register A must be an integer, got ''\n"
+    assert main(["sim", str(path), "--set", "A=1", "--set", "B=0x"]) == 2
+    assert "register B must be an integer, got '0x'" in capsys.readouterr().err
+
+
 def test_sim_trace_prints_stages(tmp_path, capsys):
     path = tmp_path / "r4.rev"
     main(["build", "ror", "--width", "4", "--out", str(path)])
@@ -267,6 +277,13 @@ def test_verify_seed_env_default(capsys, monkeypatch):
     monkeypatch.setenv("REVMUL_SEED", "13")
     assert main(["verify", "ror", "--width", "15", "--random", "20"]) == 0
     assert "seed=13" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", [["--random", "2"], ["--exhaustive"]])
+def test_verify_bad_seed_env_names_the_variable(capsys, monkeypatch, mode):
+    monkeypatch.setenv("REVMUL_SEED", "zz")
+    assert main(["verify", "mul", "--n", "3", *mode]) == 2
+    assert capsys.readouterr().err == "error: REVMUL_SEED must be an integer, got 'zz'\n"
 
 
 def test_verify_ror_exhaustive(capsys):

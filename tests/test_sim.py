@@ -521,19 +521,49 @@ def reference_report(mode, seed, examples):
     )
 
 
+def reference_multiplier_explain(n):
+    """The multiplier's counterexample as the sweep built it from a whole
+    entry-state int (bit i = line i), with the product recomputed per case."""
+
+    def explain(entry, out):
+        mask = (1 << n) - 1
+        a, b = entry & mask, entry >> n & mask
+        layout = multiplier_layout(n)
+        got = {name: register_value(layout, out, name) for name in ("P", "A", "B", "Zcin")}
+        expected = {"P": a * b, "A": a, "B": b, "Zcin": 0}
+        return {"a": a, "b": b, "expected": expected, "got": got}
+
+    return explain
+
+
+def reference_rotate_explain(width, controlled):
+    """The rotate's counterexample as the sweep built it from a whole
+    entry-state int, with the rotated window decoded and recomputed per case."""
+
+    def explain(entry, out):
+        value = entry & ((1 << width) - 1)
+        control = entry >> width if controlled else None
+        window = [int(digit) for digit in reversed(format(value, f"0{width}b"))]
+        tail = [] if control is None else [control]
+        expected = (window if control == 0 else oracle_rotate_right(window)) + tail
+        return {"input": value, "control": control, "expected": expected, "got": out}
+
+    return explain
+
+
 def reference_multiplier_examples(n, circuit, mode, count=0, seed=0):
     if mode == "exhaustive":
         pairs = list(itertools.product(range(1 << n), repeat=2))
     else:
         rng = random.Random(seed)
         pairs = [(rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(count)]
+    explain = reference_multiplier_explain(n)
     examples = []
     for a, b in pairs:
         out = reference_run(circuit, pack_state(circuit.layout, {"A": a, "B": b}))
-        got = {name: register_value(circuit.layout, out, name) for name in ("P", "A", "B", "Zcin")}
-        expected = {"P": a * b, "A": a, "B": b, "Zcin": 0}
-        wrong = got != expected or oracle_multiply(n, a, b) != a * b
-        examples.append({"a": a, "b": b, "expected": expected, "got": got} if wrong else None)
+        example = explain(a | b << n, out)
+        wrong = example["got"] != example["expected"] or oracle_multiply(n, a, b) != a * b
+        examples.append(example if wrong else None)
     return examples
 
 
@@ -544,16 +574,13 @@ def reference_rotate_examples(width, circuit, controlled, mode, count=0, seed=0)
     else:
         rng = random.Random(seed)
         cases = [(value, c) for value in (rng.getrandbits(width) for _ in range(count)) for c in controls]
+    explain = reference_rotate_explain(width, controlled)
     examples = []
     for value, control in cases:
-        window = [(value >> i) & 1 for i in range(width)]
         tail = [] if control is None else [control]
-        want = (window if control == 0 else oracle_rotate_right(window)) + tail
-        out = reference_run(circuit, window + tail)
-        wrong = out != want
-        examples.append(
-            {"input": value, "control": control, "expected": want, "got": out} if wrong else None
-        )
+        out = reference_run(circuit, [(value >> i) & 1 for i in range(width)] + tail)
+        example = explain(value | (control or 0) << width, out)
+        examples.append(example if example["got"] != example["expected"] else None)
     return examples
 
 
@@ -637,6 +664,32 @@ def test_reports_do_not_depend_on_the_batch_size(monkeypatch, lanes):
     assert want_mul == reference_report(
         "exhaustive", None, reference_multiplier_examples(3, damaged, "exhaustive")
     )
+
+
+@pytest.mark.parametrize(
+    "n, mode, seed",
+    [(n, "exhaustive", 0) for n in range(1, 7)]
+    + [(n, "random", seed) for n in (8, 16) for seed in (0, 1, 2)],
+)
+def test_damaged_multiplier_reports_match_the_per_case_reference(n, mode, seed):
+    damaged = _drop_last_gate(build_multiplier(n))
+    examples = reference_multiplier_examples(n, damaged, mode, 200, seed)
+    report = verify_multiplier(n, mode=mode, count=200, seed=seed, circuit=damaged)
+    assert report == reference_report(mode, seed, examples)
+    assert report.ok == (n == 1)  # at n = 1 the last gate is a Toffoli controlled by Zcin = 0
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+@pytest.mark.parametrize("controlled", [False, True])
+@pytest.mark.parametrize("width", range(2, 14))
+def test_damaged_rotate_reports_match_the_per_case_reference(monkeypatch, width, controlled, mode):
+    monkeypatch.setattr(sim, "build_ror", _drop_last_gate_of(build_ror))
+    monkeypatch.setattr(sim, "build_controlled_ror", _drop_last_gate_of(build_controlled_ror))
+    damaged = (sim.build_controlled_ror if controlled else sim.build_ror)(width)
+    examples = reference_rotate_examples(width, damaged, controlled, mode, 100, width)
+    report = verify_rotate(width, mode=mode, count=100, seed=width, controlled=controlled)
+    assert report == reference_report(mode, width, examples)
+    assert not report.ok
 
 
 def test_sweep_batches_stay_within_the_bit_budget(monkeypatch):
@@ -798,9 +851,9 @@ def test_exhaustive_lane_patterns_up_to_2_20_lanes():
     for s in range(21):
         lanes = 1 << s
         patterns = [int(("1" * (1 << i) + "0" * (1 << i)) * (lanes >> i + 1), 2) for i in range(s)]
-        # an undriven line, then index bit s: all zeros in the first batch, all ones in the second
-        batches = list(sim._exhaustive_batches([*range(s), None, s], lanes))
-        assert batches == [(patterns + [0, 0], lanes), (patterns + [0, (1 << lanes) - 1], lanes)]
+        # index bit s: all zeros in the first batch, all ones in the second
+        batches = list(sim._exhaustive_batches(s + 1, lanes))
+        assert batches == [(patterns + [0], lanes), (patterns + [(1 << lanes) - 1], lanes)]
 
 
 def test_a_broken_recurrence_fails_exactly_the_pairs_it_breaks(monkeypatch):
@@ -813,23 +866,25 @@ def test_a_broken_recurrence_fails_exactly_the_pairs_it_breaks(monkeypatch):
     real = sim._lane_add_and_rotate
     monkeypatch.setattr(sim, "_lane_add_and_rotate", broken)
 
-    def examples(pairs):
-        return [
-            {"a": a, "b": b, "expected": {"P": a * b, "A": a, "B": b, "Zcin": 0},
-             "got": {"P": a * b, "A": a, "B": b, "Zcin": 0}}
+    def examples(n, pairs):
+        circuit, explain = build_multiplier(n), reference_multiplier_explain(n)
+        found = [
+            explain(a | b << n, reference_run(circuit, pack_state(circuit.layout, {"A": a, "B": b})))
             for a, b in pairs
             if a & b & 1
         ]
+        assert all(example["got"] == example["expected"] for example in found)  # the circuit is right
+        return found
 
     # n = 3 has exactly 16 pairs of odd operands
     report = verify_multiplier(3)
-    expected = examples(itertools.product(range(8), repeat=2))
+    expected = examples(3, itertools.product(range(8), repeat=2))
     assert len(expected) == sim.MAX_COUNTEREXAMPLES
     assert report == VerifyReport(ok=False, checked=64, mode="exhaustive", counterexamples=expected)
     rng = random.Random(12)
     pairs = [(rng.randrange(256), rng.randrange(256)) for _ in range(40)]
     report = verify_multiplier(8, mode="random", count=40, seed=12)
-    assert 0 < len(examples(pairs)) < sim.MAX_COUNTEREXAMPLES
+    assert 0 < len(examples(8, pairs)) < sim.MAX_COUNTEREXAMPLES
     assert report == VerifyReport(
-        ok=False, checked=40, mode="random", seed=12, counterexamples=examples(pairs)
+        ok=False, checked=40, mode="random", seed=12, counterexamples=examples(8, pairs)
     )
