@@ -3,9 +3,13 @@
 Exit codes: 0 on success or verified, 1 on verification failure, 2 on usage
 errors (including malformed inputs and netlist files, and sizes whose circuit
 would exceed MAX_GATES) and on running out of memory.
+
+`main(argv)` may be called many times in one process: it builds its parser on
+the first call, not at import, and reuses it.
 """
 
 import argparse
+import functools
 import itertools
 import os
 import sys
@@ -77,16 +81,14 @@ def _default_seed() -> int:
 
 def _state_renderer(layout):
     """A function that renders a one-lane state as "NAME=value ...", the
-    result register first and the rest in layout order. The register spans
-    are resolved once; each state is decoded from one `bytes(state)`."""
-    width = layout.width
+    result register first and the rest in layout order. The register shifts
+    and masks are resolved once; each state is decoded to one integer."""
     order = sorted(layout.registers, key=lambda r: r.name != "P")
-    # spans into the state's binary digits, most significant line first
-    spans = [(f"{r.name}=", width - r.end, width - r.start) for r in order]
+    fields = [(f"{r.name}=", r.start, (1 << r.size) - 1) for r in order]
 
     def render(state) -> str:
-        digits = bytes(state)[::-1].translate(sim._DIGITS)
-        return " ".join([name + str(int(digits[lo:hi], 2)) for name, lo, hi in spans])
+        x = int(bytes(state)[::-1].translate(sim._DIGITS), 2)
+        return " ".join([name + str(x >> start & mask) for name, start, mask in fields])
 
     return render
 
@@ -206,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_size_flags(p)
     p.add_argument("--format", choices=("rev", "qasm"), default="rev")
     p.add_argument("--out", help="output path (default <block><size>.<ext>)")
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("sim", help="run a netlist file on given register values")
     p.add_argument("file")
@@ -217,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="register assignment; decimal, 0x or 0b (repeatable)",
     )
     p.add_argument("--trace", action="store_true", help="print the state at each stage")
-    p.set_defaults(func=cmd_sim)
 
     p = sub.add_parser("verify", help="check a generated circuit against its oracle")
     p.add_argument("block", choices=("mul", "ror", "cror"))
@@ -226,20 +226,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int, metavar="COUNT", help="seeded random sweep")
     p.add_argument("--seed", type=int, help="seed for --random (default $REVMUL_SEED or 0)")
     p.add_argument("--json", action="store_true", help="print the report as JSON")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", help="regenerate the ancilla/garbage comparison tables")
     p.add_argument("--max-n", type=int, default=1024, dest="max_n")
     p.add_argument("--which", choices=("ancilla", "garbage"), default="ancilla")
     p.add_argument("--format", choices=("md", "csv", "json"), default="md")
     p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(func=cmd_compare)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every `main` call reuses, built on the first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     # Printed values reach 65,536 bits (`sim`) or 1,048,577 (a `verify ror`
     # counterexample), past the 4,300-digit limit Python (3.10.7 and later)
     # puts on int <-> str conversion; lift it while the command runs.
@@ -247,7 +250,8 @@ def main(argv=None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        # looked up by name on each call, so a rebound `cmd_*` is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

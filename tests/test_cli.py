@@ -221,6 +221,20 @@ def test_sim_stdout_matches_the_reference_renderer(name, trace, tmp_path, capsys
         assert printed.count("\n") == 1  # no stage line, only the final state
 
 
+def slice_state_renderer(layout):
+    """The renderer `sim` used before each state was decoded to one integer:
+    one `int(digits[lo:hi], 2)` per register, over the state's binary digits."""
+    width = layout.width
+    order = sorted(layout.registers, key=lambda r: r.name != "P")
+    spans = [(f"{r.name}=", width - r.end, width - r.start) for r in order]
+
+    def render(state) -> str:
+        digits = bytes(state)[::-1].translate(sim._DIGITS)
+        return " ".join([name + str(int(digits[lo:hi], 2)) for name, lo, hi in spans])
+
+    return render
+
+
 @pytest.mark.parametrize(
     "layout",
     [
@@ -229,14 +243,15 @@ def test_sim_stdout_matches_the_reference_renderer(name, trace, tmp_path, capsys
         synth.build_ror(7).layout,
         synth.build_controlled_ror(6).layout,
         RegisterLayout([Register("X", 0, 1), Register("P", 1, 3, 0), Register("Y", 4, 2, 1)]),
+        *(synth.multiplier_layout(n) for n in (1, 2, 3, 4, 6, 7, 8, 300)),
     ],
 )
 def test_state_renderer_matches_register_value(layout):
-    render = cli._state_renderer(layout)
+    render, sliced = cli._state_renderer(layout), slice_state_renderer(layout)
     rng = random.Random(3)
     for _ in range(50):
         state = [rng.getrandbits(1) for _ in range(layout.width)]
-        assert render(state) == reference_format_state(layout, state)
+        assert render(state) == reference_format_state(layout, state) == sliced(state)
 
 
 def _sim_peak_bytes(argv):
@@ -439,6 +454,20 @@ def test_sim_prints_a_register_wider_than_the_digit_limit(tmp_path, capsys):
         assert printed == f"P={(1 << WIDE) - 1}\n"
 
 
+def test_wide_register_renders_as_the_slice_renderer_inside_main(tmp_path, capsys):
+    circuit = synth.build_ror(WIDE)  # one register of 6,021 decimal digits
+    path = tmp_path / "ror.rev"
+    path.write_text(revio.write_netlist(circuit))
+    value = random.Random(5).getrandbits(WIDE) | 1 << (WIDE - 1)
+    assert main(["sim", str(path), "--set", f"P={value:#x}"]) == 0
+    printed = capsys.readouterr().out
+    final = sim.run(circuit, sim.pack_state(circuit.layout, {"P": value}))
+    with no_digit_limit():
+        # as a list, so that a failure reports the first differing line and
+        # pytest does not diff two 6,000-digit strings character by character
+        assert printed.splitlines() == [slice_state_renderer(circuit.layout)(final)]
+
+
 def _drop_last_gate(circuit):
     damaged = Circuit(circuit.layout)
     damaged.extend(circuit.gates[:-1])
@@ -463,3 +492,99 @@ def test_failing_wide_verify_prints_its_counterexamples(json_flag, monkeypatch, 
             head = f"ror width={WIDE}: mode=random seed=3 checked=5 FAILED ({count} counterexamples)"
             want = [head] + [f"  counterexample: {ce}" for ce in report.counterexamples]
             assert printed.splitlines() == want
+
+
+# ---------------------------------------------------------------- one parser per process
+
+
+@pytest.fixture
+def fresh_parser():
+    """`main`'s parser cache emptied before and after the test."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_parser_is_built_once_across_calls(fresh_parser, monkeypatch, capsys):
+    built, original = [], cli.build_parser
+
+    def spy():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    for _ in range(5):
+        assert main(["verify", "mul", "--n", "2"]) == 0
+    assert len(built) == 1
+
+
+def test_parser_is_not_built_at_import():
+    src = str(Path(revmul.__file__).resolve().parents[1])
+    child = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import revmul, revmul.cli\n"
+        "print(revmul.cli._parser.cache_info().currsize)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+
+def test_command_rebound_after_the_first_call_is_the_one_that_runs(monkeypatch, capsys):
+    assert main(["verify", "mul", "--n", "2"]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.n) or 7)
+    assert main(["verify", "mul", "--n", "3"]) == 7
+    assert seen == [3]
+
+
+def test_set_lists_do_not_leak_between_calls(tmp_path, capsys):
+    path = tmp_path / "mul2.rev"
+    path.write_text(revio.write_netlist(synth.build_multiplier(2)))
+    assert main(["sim", str(path), "--set", "A=1", "--set", "B=0"]) == 0
+    assert main(["sim", str(path), "--set", "B=2"]) == 2  # A from the first call is gone
+    printed = capsys.readouterr()
+    assert printed.out == "P=0 A=1 B=0 Zcin=0\n"
+    assert "register A" in printed.err
+
+
+def test_json_flag_does_not_leak_between_calls(capsys):
+    assert main(["verify", "mul", "--n", "2", "--json"]) == 0
+    assert capsys.readouterr().out == revio.metrics_json(sim.verify_multiplier(2))
+    assert main(["verify", "mul", "--n", "2"]) == 0
+    assert capsys.readouterr().out == "mul n=2: mode=exhaustive checked=16 ok\n"
+
+
+def test_seed_env_is_read_on_every_call(monkeypatch, capsys):
+    argv = ["verify", "mul", "--n", "3", "--random", "4"]
+    for seed in ("11", "12"):
+        monkeypatch.setenv("REVMUL_SEED", seed)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"mul n=3: mode=random seed={seed} checked=4 ok\n"
+
+
+def test_usage_error_then_good_command(capsys):
+    usage_errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "mul", "--n", "two"])
+        assert info.value.code == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        usage_errors.append(printed.err)
+        assert main(["verify", "mul", "--n", "2"]) == 0
+        assert capsys.readouterr().out == "mul n=2: mode=exhaustive checked=16 ok\n"
+    assert usage_errors[0] == usage_errors[1]
+    assert usage_errors[0].endswith("error: argument --n: invalid int value: 'two'\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]], ids=["top", "verify"])
+def test_help_is_the_same_on_every_call(argv, fresh_parser, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    printed = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1]
+    assert printed[0].out.startswith("usage: revmul ")
