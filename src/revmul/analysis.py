@@ -19,10 +19,8 @@ from decimal import ROUND_HALF_UP, Decimal
 
 from .gates import FREDKIN, SWAP, TOFFOLI
 from .metrics import Metrics, structural_metrics
-from .synth import build_addnop, build_multiplier, build_ror
+from .synth import ADDNOP, ROR, build_addnop, build_multiplier, build_ror
 
-ADDNOP = "addnop"
-ROR = "ror"
 MULTIPLIER = "mul"
 
 TABLE_SIZES = (4, 8, 16, 32, 64, 128, 256, 512, 1024)

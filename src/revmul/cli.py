@@ -21,15 +21,17 @@ from .metrics import structural_metrics
 
 _Block = namedtuple("_Block", "flag gates build exhaustive_up_to unit verify", defaults=(None,) * 3)
 
-# Per block: its size flag; its closed-form gate count at a size (see
-# `analysis`); its builder; and, for `verify`, the largest size swept
-# exhaustively by default, what one case is, and its verifier. The lambdas
-# look `synth` and `sim` up at each call, so a rebound builder or verifier
-# is the one that runs.
+# Per block: its size flag; its gate count at a size (the closed form in
+# `analysis`, or w-1 for a rotate, whose form there covers even widths only);
+# its builder; and, for `verify`, the largest size swept exhaustively by
+# default, what one case is, and its verifier. The lambdas look `synth` and
+# `sim` up at each call, so a rebound builder or verifier is the one that runs.
 _BLOCKS = {
-    "mul": _Block("n", lambda n: 6 * n * n - 2 * n + 1, lambda n: synth.build_multiplier(n),
+    "mul": _Block("n", lambda n: analysis.formula_metrics(analysis.MULTIPLIER, n).gate_count,
+                  lambda n: synth.build_multiplier(n),
                   5, "pairs", lambda n, **sweep: sim.verify_multiplier(n, **sweep)),
-    "addnop": _Block("n", lambda n: 4 * n + 1, lambda n: synth.build_addnop(n)),
+    "addnop": _Block("n", lambda n: analysis.formula_metrics(analysis.ADDNOP, n).gate_count,
+                     lambda n: synth.build_addnop(n)),
     "ror": _Block("width", lambda w: w - 1, lambda w: synth.build_ror(w),
                   12, "states", lambda w, **sweep: sim.verify_rotate(w, **sweep)),
     "cror": _Block("width", lambda w: w - 1, lambda w: synth.build_controlled_ror(w),
@@ -59,7 +61,7 @@ def _size(args) -> int:
     if value is None:
         raise ValueError(f"{args.block} requires --{flag}")
     estimate = block.gates(value)
-    if value > 0 and estimate > MAX_GATES:
+    if estimate > MAX_GATES:
         raise ValueError(
             f"{args.block} --{flag} {value} would have {estimate} gates, "
             f"above the limit of {MAX_GATES}"

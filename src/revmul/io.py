@@ -129,11 +129,7 @@ def _parse_register(head, fields, registers, lineno) -> Register:
     hi = _parse_int(fields[3], "register hi", lineno)
     if hi < lo:
         raise NetlistError(f"register {name} has hi {hi} < lo {lo}", lineno)
-    const = None
-    if head == "anc":
-        const = _parse_int(fields[4], "ancilla constant", lineno)
-        if const not in (0, 1):
-            raise NetlistError(f"ancilla constant must be 0 or 1, got {const}", lineno)
+    const = _parse_int(fields[4], "ancilla constant", lineno) if head == "anc" else None
     try:
         return Register(name, lo, hi - lo + 1, const)
     except ValueError as exc:

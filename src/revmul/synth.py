@@ -10,6 +10,9 @@ otherwise) and a constant-depth rotate-right-by-one network.
 from .circuit import Circuit, Register, RegisterLayout
 from .gates import TOFFOLI, Gate, fredkin, swap, toffoli
 
+ADDNOP = "addnop"
+ROR = "ror"
+
 
 def multiplier_layout(n: int) -> RegisterLayout:
     """Line plan for the n x n multiplier: 4n+1 lines.
@@ -164,6 +167,18 @@ def build_controlled_ror(width: int) -> Circuit:
     return _circuit(layout, ([fredkin(width, i, i + 1)] for i in range(width - 1)))
 
 
+def _multiplier_blocks(n: int) -> list[tuple[str, int, range, range]]:
+    """The n x n multiplier's blocks in circuit order, as (kind, m, gate
+    indices, stage indices): ADD/NOP m, 4n+1 gates in 3n+2 stages, and after
+    every ADD/NOP but the last, rotate m, 2n-1 swaps in 2 stages."""
+    blocks = []
+    for m in range(n):
+        g, s = 6 * n * m, (3 * n + 4) * m  # where pair m starts
+        blocks += [(ADDNOP, m, range(g, g + 4 * n + 1), range(s, s + 3 * n + 2)),
+                   (ROR, m, range(g + 4 * n + 1, g + 6 * n), range(s + 3 * n + 2, s + 3 * n + 4))]
+    return blocks[:-1]  # no rotate after the last ADD/NOP
+
+
 def build_multiplier(n: int) -> Circuit:
     """Gate-level n x n multiplier over 4n+1 lines.
 
@@ -172,31 +187,27 @@ def build_multiplier(n: int) -> Circuit:
     rotate unnecessary. P exits holding A*B, A and B exit unchanged and Zcin
     exits 0, so no output is garbage.
 
-    The first ADD/NOP and the first rotate are assembled from their stage
-    generators, and every later block is stamped from them. ADD/NOP m
-    differs from ADD/NOP 0 only in its control A[m], the first line of each
-    of its Toffolis, and no other gate of the block touches an A line, so
-    each copy keeps the template's range and per-stage disjointness.
+    The blocks go where `_multiplier_blocks` puts them, each stamped from the
+    first of its kind. ADD/NOP m differs from ADD/NOP 0 only in the first
+    line of each Toffoli, its control A[m], and no other gate touches an A
+    line, so each copy keeps the template's range and stage disjointness.
     """
     layout = multiplier_layout(n)
-    a = layout["A"]
-    p = list(layout["P"].lines)
-    addnop = _addnop_stages(a.start, list(layout["B"].lines), p[-(n + 1):], layout["Zcin"].start)
-    if n == 1:
-        return _circuit(layout, addnop)
-    circ = _circuit(layout, addnop + _ror_stages(p))
-    addnop_len = circ.stage_marks[len(addnop) - 1]
-    kinds = [g.kind for g in circ.gates]
-    lines = [g.lines for g in circ.gates]
-    toffolis = [(i, g.lines[1:]) for i, g in enumerate(circ.gates) if g.kind == TOFFOLI]
-    template_marks = list(circ.stage_marks)
+    a, p = layout["A"], list(layout["P"].lines)
+    b, window, z = list(layout["B"].lines), p[-(n + 1):], layout["Zcin"].start
+    first = {ADDNOP: lambda: _addnop_stages(a.start, b, window, z), ROR: lambda: _ror_stages(p)}
+    circ, templates = Circuit(layout), {}
     gates, marks = circ.gates, circ.stage_marks
-    for m in range(1, n):
+    for kind, m, span, _ in _multiplier_blocks(n):
+        if m == 0:  # the first of its kind keeps its own gates and is the template of the rest
+            block = _circuit(layout, first[kind]())
+            lines = [g.lines for g in block.gates]
+            toffolis = [(i, g.lines[1:]) for i, g in enumerate(block.gates) if g.kind == TOFFOLI]
+            templates[kind] = block, [g.kind for g in block.gates], lines, toffolis
+        block, kinds, lines, toffolis = templates[kind]
         control = (a.line(m),)
         for i, tail in toffolis:
             lines[i] = control + tail
-        block = kinds if m < n - 1 else kinds[:addnop_len]
-        base = len(gates)
-        gates.extend(map(Gate, block, lines))
-        marks.extend([base + mark for mark in template_marks if mark <= len(block)])
+        gates.extend(block.gates if m == 0 else map(Gate, kinds, lines))
+        marks.extend([span.start + mark for mark in block.stage_marks])
     return circ

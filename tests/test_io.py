@@ -443,7 +443,8 @@ def test_io_imports_only_circuit_gates_and_metrics():
 
 def reference_parse(text):
     """The parser as it was before it remembered repeated lines: every line
-    tokenized, every token through `_parse_int`, a fresh `Gate` per line."""
+    tokenized, every token through `_parse_int`, a fresh `Gate` per line.
+    Like the parser, it leaves the ancilla constant's range to `Register`."""
     parser = _ReferenceParser()
     saw_version = False
     last_line = None
@@ -519,11 +520,7 @@ class _ReferenceParser:
         hi = _parse_int(fields[3], "register hi", lineno)
         if hi < lo:
             raise NetlistError(f"register {name} has hi {hi} < lo {lo}", lineno)
-        const = None
-        if head == "anc":
-            const = _parse_int(fields[4], "ancilla constant", lineno)
-            if const not in (0, 1):
-                raise NetlistError(f"ancilla constant must be 0 or 1, got {const}", lineno)
+        const = _parse_int(fields[4], "ancilla constant", lineno) if head == "anc" else None
         try:
             self.registers.append(Register(name, lo, hi - lo + 1, const))
         except ValueError as exc:
@@ -712,6 +709,7 @@ def test_any_text_in_small_slices_parses_or_raises_netlist_error(text, size):
         ("rev 1\nqubits 2\nanc Z 0 1 c\n", "line 3: ancilla constant must be an integer, got 'c'"),
         ("rev 1\nqubits 2\nanc Z 0 1 2\n", "line 3: ancilla constant must be 0 or 1, got 2"),
         ("rev 1\nqubits 2\nreg R -1 0\n", "line 3: bad register span R: start=-1 size=2"),
+        ("rev 1\nqubits 2\nanc Z -1 0 2\n", "line 3: bad register span Z: start=-1 size=2"),
         ("rev 1\nreg R 0 1\nswap 0 1\n", "line 3: missing qubits declaration"),
         ("rev 1\nreg R 0 1\n", "line 2: missing qubits declaration"),
         ("rev 1\nqubits 3\nreg A 0 0\nreg B 2 2\n---\n", "line 5: layout gap before register B at line 1"),

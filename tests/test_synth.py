@@ -16,7 +16,8 @@ from revmul import (
 from revmul.circuit import Circuit
 from revmul.gates import FREDKIN, SWAP, TOFFOLI, Gate
 from revmul.io import write_netlist
-from revmul.synth import _addnop_stages, _ror_stages, multiplier_layout
+from revmul.analysis import formula_metrics
+from revmul.synth import ADDNOP, ROR, _addnop_stages, _multiplier_blocks, _ror_stages, multiplier_layout
 
 
 # ---------------------------------------------------------------- ADD/NOP
@@ -223,19 +224,45 @@ def test_carry_slot_clear_at_every_adder_entry(n):
     circ = build_multiplier(n)
     layout = circ.layout
     top = layout["P"].line(2 * n - 1)
-    adder_gates = 4 * n + 1
-    ror_gates = 2 * n - 1
     prefixes = []  # the gates before each adder's entry
-    for m in range(n):
-        prefix = Circuit(layout)
-        prefix.extend(circ.gates[: m * (adder_gates + ror_gates)])
-        prefixes.append(prefix)
+    for kind, _, gates, _ in _multiplier_blocks(n):
+        if kind == ADDNOP:
+            prefix = Circuit(layout)
+            prefix.extend(circ.gates[: gates.start])
+            prefixes.append(prefix)
+    assert len(prefixes) == n
 
     for a, b in itertools.product(range(1 << n), repeat=2):
         state = pack_state(layout, {"A": a, "B": b})
         for prefix in prefixes:
             assert run(prefix, state)[top] == 0
         assert register_value(layout, run(circ, state), "P") == a * b
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 64, 128])
+def test_block_map_tiles_the_built_multiplier(n):
+    circ = build_multiplier(n)
+    a, p = circ.layout["A"], circ.layout["P"]
+    blocks = _multiplier_blocks(n)
+    assert [(kind, m) for kind, m, _, _ in blocks] == [
+        (kind, m) for m in range(n) for kind in (ADDNOP, ROR) if kind == ADDNOP or m < n - 1
+    ]
+    assert [i for _, _, gates, _ in blocks for i in gates] == list(range(len(circ.gates)))
+    assert [i for _, _, _, stages in blocks for i in stages] == list(range(len(circ.stage_marks)))
+    assert blocks[-1][2].stop == formula_metrics("mul", n).gate_count
+    for kind, m, gates, stages in blocks:
+        assert circ.stage_marks[stages[-1]] == gates.stop, (kind, m)  # the block ends on a mark
+        block = circ.gates[gates.start:gates.stop]
+        if kind == ADDNOP:
+            assert len(block) == 4 * n + 1 and len(stages) == 3 * n + 2, (kind, m)
+            toffolis = [g for g in block if g.kind == TOFFOLI]
+            fredkins = [g for g in block if g.kind == FREDKIN]
+            assert len(toffolis) == 2 * n + 1 and len(fredkins) == 2 * n, (kind, m)
+            assert all(g.lines[0] == a.line(m) for g in toffolis), (kind, m)
+            assert not any(line in a.lines for g in fredkins for line in g.lines), (kind, m)
+        else:
+            assert len(block) == 2 * n - 1 and len(stages) == 2, (kind, m)
+            assert all(g.kind == SWAP and all(line in p.lines for line in g.lines) for g in block), (kind, m)
 
 
 def test_multiplier_stage_count():
