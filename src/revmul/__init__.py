@@ -19,7 +19,7 @@ from .analysis import (
 from .circuit import Circuit, Register, RegisterLayout
 from .gates import CNOT, FREDKIN, SWAP, TOFFOLI, Gate, cnot, fredkin, swap, toffoli
 from .io import NetlistError, export_qasm, metrics_json, parse_netlist, write_netlist
-from .metrics import Metrics, asap_depth, staged_delay, structural_metrics
+from .metrics import Metrics, structural_metrics
 from .sim import (
     VerifyReport,
     oracle_multiply,
@@ -58,7 +58,6 @@ __all__ = [
     "VerifyReport",
     "ancilla_rows",
     "addnop_layout",
-    "asap_depth",
     "build_addnop",
     "build_controlled_ror",
     "build_multiplier",
@@ -82,7 +81,6 @@ __all__ = [
     "render_markdown",
     "ror_layout",
     "run",
-    "staged_delay",
     "structural_metrics",
     "swap",
     "toffoli",

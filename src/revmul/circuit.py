@@ -101,7 +101,10 @@ class Circuit:
     mark_stage() closes the stage ending at the current last gate. Gates in a
     stage must act on pairwise disjoint lines, which is what makes the staged
     delay accounting (cost of a stage = its most expensive gate) sound.
-    Circuits are built by appending and treated as immutable afterwards.
+    append() and mark_stage() are the checked way in from outside the package.
+    The builders fill gates and stage_marks directly, keeping the same rules by
+    construction; io.parse_netlist checks them inline. Treat a built circuit
+    as immutable.
     """
 
     def __init__(self, layout: RegisterLayout):

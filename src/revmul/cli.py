@@ -53,13 +53,16 @@ MAX_RANDOM_WORK = MAX_RANDOM_CASES * _BLOCKS["mul"].gates(sim.EXHAUSTIVE_MULTIPL
 
 
 def _size(args) -> int:
-    """The block's size flag, refused before anything is built when its
-    circuit would exceed MAX_GATES."""
+    """The block's size flag, refused before anything is built when the other
+    block's flag is also given or its circuit would exceed MAX_GATES."""
     block = _BLOCKS[args.block]
     flag = block.flag
     value = getattr(args, flag)
     if value is None:
         raise ValueError(f"{args.block} requires --{flag}")
+    other = "width" if flag == "n" else "n"
+    if getattr(args, other) is not None:
+        raise ValueError(f"{args.block} takes --{flag}, not --{other}")
     estimate = block.gates(value)
     if estimate > MAX_GATES:
         raise ValueError(

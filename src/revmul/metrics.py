@@ -9,13 +9,16 @@ from .gates import KIND_ORDER, QUANTUM_COST
 
 @dataclass
 class Metrics:
-    """Resource counts for one circuit.
+    """Resource counts for one circuit; cost and depths count primitive gates.
 
-    garbage_outputs is a semantic property: structural analysis cannot prove a
-    line is not garbage, so it stays None until the verification harness
-    certifies it. For circuits whose stage marks are honest parallel layers,
-    asap_depth <= staged_delay <= quantum_cost. The field order is the key
-    order of the JSON report (`io.metrics_json`).
+    asap_depth puts each gate in the earliest layer after every earlier gate
+    that shares a line with it, and each layer costs its most expensive gate.
+    staged_delay sums each marked stage's most expensive gate, with each gate
+    after the last mark a stage of its own. For circuits whose stage marks are
+    honest parallel layers, asap_depth <= staged_delay <= quantum_cost.
+    garbage_outputs stays None until the verification harness certifies it:
+    structural analysis cannot prove a line is not garbage. The field order
+    is the key order of the JSON report (`io.metrics_json`).
     """
 
     gate_counts: dict[str, int] = field(default_factory=dict)
@@ -25,11 +28,6 @@ class Metrics:
     garbage_outputs: int | None = None
     asap_depth: int | None = None
     staged_delay: int | None = None
-
-
-def _costs(circuit: Circuit) -> list[int]:
-    """Quantum cost of each gate, in gate order."""
-    return [QUANTUM_COST[gate.kind] for gate in circuit.gates]
 
 
 def _asap_depth(circuit: Circuit, costs: list[int]) -> int:
@@ -71,28 +69,9 @@ def _staged_delay(circuit: Circuit, costs: list[int]) -> int:
     return total + sum(costs[start:])
 
 
-def asap_depth(circuit: Circuit) -> int:
-    """Greedy earliest-layer depth, in primitive-gate units.
-
-    Each gate lands in the earliest layer after every earlier gate sharing a
-    line with it; gates on disjoint lines share a layer. A layer costs as much
-    as its most expensive gate, and the depth is the sum of layer costs.
-    """
-    return _asap_depth(circuit, _costs(circuit))
-
-
-def staged_delay(circuit: Circuit) -> int:
-    """Sum over stages of the most expensive gate in each stage.
-
-    Unmarked trailing gates count as one sequential stage apiece, so a circuit
-    with no marks at all is priced fully sequentially (= its quantum cost).
-    """
-    return _staged_delay(circuit, _costs(circuit))
-
-
 def structural_metrics(circuit: Circuit) -> Metrics:
     """Every structural measure of the circuit, from one cost list."""
-    costs = _costs(circuit)
+    costs = [QUANTUM_COST[gate.kind] for gate in circuit.gates]
     counts = Counter([gate.kind for gate in circuit.gates])
     return Metrics(
         gate_counts={kind: counts[kind] for kind in KIND_ORDER if kind in counts},

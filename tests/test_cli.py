@@ -78,6 +78,16 @@ def test_oversized_circuit_refused_before_building(argv, estimate, no_builders, 
     assert f"would have {estimate} gates, above the limit of {MAX_GATES}" in err
 
 
+@pytest.mark.parametrize("command", ["build", "verify"])
+@pytest.mark.parametrize(
+    "block,flag,other", [("mul", "n", "width"), ("ror", "width", "n"), ("cror", "width", "n")]
+)
+def test_other_blocks_size_flag_refused(command, block, flag, other, no_builders, capsys):
+    # the flag the block ignores would otherwise pass unnoticed
+    assert main([command, block, f"--{flag}", "2", f"--{other}", "9"]) == 2
+    assert capsys.readouterr() == ("", f"error: {block} takes --{flag}, not --{other}\n")
+
+
 def test_size_limit_boundary():
     gates = cli._BLOCKS["mul"].gates
     assert gates(418) <= MAX_GATES < gates(419)

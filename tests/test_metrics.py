@@ -7,14 +7,12 @@ from revmul import (
     Metrics,
     Register,
     RegisterLayout,
-    asap_depth,
     build_addnop,
     build_controlled_ror,
     build_multiplier,
     build_ror,
     cnot,
     fredkin,
-    staged_delay,
     structural_metrics,
     swap,
     toffoli,
@@ -50,21 +48,21 @@ def test_quantum_cost_is_weighted_count():
 def test_asap_single_swap():
     circ = scratch(2)
     circ.append(swap(0, 1))
-    assert asap_depth(circ) == 3
+    assert structural_metrics(circ).asap_depth == 3
 
 
 def test_asap_disjoint_toffolis_share_a_layer():
     circ = scratch(6)
     circ.append(toffoli(0, 1, 2))
     circ.append(toffoli(3, 4, 5))
-    assert asap_depth(circ) == 5
+    assert structural_metrics(circ).asap_depth == 5
 
 
 def test_asap_shared_line_serializes():
     circ = scratch(3)
     circ.append(toffoli(0, 1, 2))
     circ.append(toffoli(0, 1, 2))
-    assert asap_depth(circ) == 10
+    assert structural_metrics(circ).asap_depth == 10
 
 
 def test_asap_invariant_under_reorder_within_stage():
@@ -81,7 +79,7 @@ def test_asap_invariant_under_reorder_within_stage():
             reordered.append(gate)
         reordered.mark_stage()
         start = mark
-    assert asap_depth(reordered) == asap_depth(circ)
+    assert structural_metrics(reordered).asap_depth == structural_metrics(circ).asap_depth
 
 
 def test_staged_delay_uses_stage_maximum():
@@ -89,7 +87,7 @@ def test_staged_delay_uses_stage_maximum():
     circ.append(swap(0, 1))
     circ.append(toffoli(2, 3, 4))
     circ.mark_stage()
-    assert staged_delay(circ) == 5
+    assert structural_metrics(circ).staged_delay == 5
 
 
 def test_unstaged_circuit_priced_sequentially():
@@ -138,16 +136,16 @@ def mixed_circuit(marked):
     ],
 )
 def test_staged_delay_matches_stage_list_sum(circ):
-    assert staged_delay(circ) == stages_delay(circ)
+    assert structural_metrics(circ).staged_delay == stages_delay(circ)
 
 
 def test_staged_delay_trailing_gates_each_a_stage():
     # stages [cx, ccx] and [swap], then four unmarked gates of their own
-    assert staged_delay(mixed_circuit((2, 3))) == 5 + 3 + 5 + 3 + 1 + 5
+    assert structural_metrics(mixed_circuit((2, 3))).staged_delay == 5 + 3 + 5 + 3 + 1 + 5
 
 
 def reference_asap_depth(circuit):
-    """`asap_depth` as it was with a dict of next free layers."""
+    """ASAP depth as it was computed with a dict of next free layers."""
     next_free = {}
     layer_costs = []
     for gate in circuit.gates:
@@ -173,13 +171,13 @@ def reference_asap_depth(circuit):
     ],
 )
 def test_asap_depth_matches_reference(circ):
-    assert asap_depth(circ) == reference_asap_depth(circ)
+    assert structural_metrics(circ).asap_depth == reference_asap_depth(circ)
 
 
 def test_asap_depth_matches_reference_on_multipliers():
     for n in range(1, 41):
         circ = build_multiplier(n)
-        assert asap_depth(circ) == reference_asap_depth(circ), n
+        assert structural_metrics(circ).asap_depth == reference_asap_depth(circ), n
 
 
 # ---------------------------------------------------------------- metrics against per-gate loops
@@ -253,10 +251,11 @@ METRIC_CASES = [random_circuit(seed) for seed in range(40)] + [
 @pytest.mark.parametrize("circ", METRIC_CASES)
 def test_metrics_match_per_gate_loops(circ):
     want = reference_metrics(circ)
-    assert asap_depth(circ) == want.asap_depth
-    assert staged_delay(circ) == want.staged_delay == stages_delay(circ)
-    assert structural_metrics(circ) == want
-    assert list(structural_metrics(circ).gate_counts) == list(want.gate_counts)
+    got = structural_metrics(circ)
+    assert got.asap_depth == want.asap_depth
+    assert got.staged_delay == want.staged_delay == stages_delay(circ)
+    assert got == want
+    assert list(got.gate_counts) == list(want.gate_counts)
 
 
 def test_random_circuits_mix_every_kind_and_stage_shape():
