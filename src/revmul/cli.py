@@ -128,9 +128,10 @@ def cmd_sim(args) -> int:
     state = sim.pack_state(circuit.layout, values)
     render = _state_renderer(circuit.layout)
     number = itertools.count(1)
+    write = sys.stdout.write
 
     def show(stage_state):  # each stage prints as the run reaches it; none is kept
-        print(f"stage {next(number)}: {render(stage_state)}")
+        write(f"stage {next(number)}: {render(stage_state)}\n")  # print() writes twice
 
     print(render(sim.run(circuit, state, trace=show if args.trace else None)))
     return 0

@@ -18,9 +18,13 @@ simulator allocate a state of absurd size; the largest multiplier the
 comparison tables describe (n=1024) has 4,097 lines. Every gate line is
 range-checked against that width, and gate line MAX_GATES + 1 (2^20 + 1) is
 refused, so no netlist can make the parser hold an unbounded gate list; the
-largest multiplier that fits is n = 418.
+largest multiplier that fits is n = 418. An integer token longer than
+_MAX_INT_CHARS (32) characters is refused before it is converted, so no
+token can make int() run for minutes once Python's digit limit is lifted.
 The parser holds one slice of about _SLICE_CHARS characters as lines at a
-time, plus one memo entry per distinct line, never a list of every line.
+time, plus one memo entry per distinct line and one per distinct line-index
+token, never a list of every line. A new gate line gets the `Gate` checks,
+then the MAX_GATES check, then the range check.
 The writer emits a canonical form: writing, parsing and writing again is byte
 identical.
 """
@@ -37,6 +41,7 @@ FORMAT_VERSION = 1
 MAX_QUBITS = 1 << 16
 MAX_GATES = 1 << 20  # also the largest circuit `cli` builds
 _SLICE_CHARS = 1 << 16  # the parser splits the text into lines this much at a time
+_MAX_INT_CHARS = 32  # the longest integer token the parser converts
 
 
 class NetlistError(ValueError):
@@ -84,6 +89,13 @@ def write_netlist(circuit: Circuit) -> str:
 
 
 def _parse_int(token: str, what: str, lineno: int) -> int:
+    """`token` as an int; one longer than _MAX_INT_CHARS is refused unread,
+    since int() takes time quadratic in the digits once Python's digit limit
+    is lifted, as `cli.main` does, and the message names only its length."""
+    if len(token) > _MAX_INT_CHARS:
+        raise NetlistError(
+            f"{what} has {len(token)} characters, above the limit of {_MAX_INT_CHARS}", lineno
+        )
     try:
         return int(token)
     except ValueError:
@@ -159,82 +171,101 @@ def parse_netlist(text: str) -> Circuit:
     and every `---` gets the checks of `Circuit.mark_stage`: the open stage's
     lines are collected as its gates are read, so a `---` does not revisit
     them.
+
+    A new line is split once and tested first for the common case, a gate
+    mnemonic after the declarations; the version header, the declarations,
+    `---` and every malformed line take the other branch. A new gate gets
+    the `Gate` checks, then the MAX_GATES check, then the range check. Its
+    tokens go through a memo that lives for this call: each distinct token
+    is converted once, by `_parse_int`, which refuses one longer than
+    _MAX_INT_CHARS, and the gates share its int.
     """
     width = None
     registers: list[Register] = []
     circuit = None
     cap = MAX_GATES
     seen: dict[str, object] = {}  # line text -> its Gate, or _SEPARATOR
+    known = seen.get
+    ints: dict[str, int] = {}  # token -> its line index
+    index = ints.__getitem__
+    separator = _SEPARATOR
     stage: set[int] = set()  # lines the open stage's gates act on
     disjoint, collect = stage.isdisjoint, stage.update
     clash = False  # two of them share a line, which its `---` reports
     saw_version = False
     last_line = None
-    for lineno, raw in enumerate(chain.from_iterable(map(str.splitlines, _slices(text))), 1):
-        entry = seen.get(raw)
-        fresh = entry is None
-        if fresh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+    lineno = 0
+    for piece in _slices(text):
+        for raw in piece.splitlines():
+            lineno += 1
+            entry = known(raw)
+            if entry is None:
+                fields = (raw.partition("#")[0] if "#" in raw else raw).split()
+                if not (fields and circuit is not None and fields[0] in ARITY):
+                    if not fields:
+                        continue
+                    last_line = lineno
+                    head = fields[0]
+                    if not saw_version:
+                        if head != "rev" or len(fields) != 2:
+                            raise NetlistError("expected version header 'rev 1'", lineno)
+                        if fields[1] != str(FORMAT_VERSION):
+                            raise NetlistError(f"unsupported format version {fields[1]!r}", lineno)
+                        saw_version = True
+                        continue
+                    if head in ("qubits", "reg", "anc"):
+                        if circuit is not None:
+                            raise NetlistError(f"{head} declaration after the first gate", lineno)
+                        if head == "qubits":
+                            width = _parse_width(fields, width, lineno)
+                        else:
+                            registers.append(_parse_register(head, fields, registers, lineno))
+                        continue
+                    if circuit is None:
+                        circuit = _empty_circuit(width, registers, lineno)
+                        gates, marks = circuit.gates, circuit.stage_marks
+                    if head == "---":
+                        if len(fields) != 1:
+                            raise NetlistError("stage separator takes no arguments", lineno)
+                        entry = separator
+                    elif head not in ARITY:
+                        raise NetlistError(f"unknown gate mnemonic or directive {head!r}", lineno)
+                if entry is None:  # a gate line not read before
+                    head = fields[0]
+                    try:
+                        lines = tuple(map(index, fields[1:]))
+                    except KeyError:  # convert the tokens not read before, the first bad one first
+                        for token in fields[1:]:
+                            if token not in ints:
+                                ints[token] = _parse_int(token, "line index", lineno)
+                        lines = tuple(map(index, fields[1:]))
+                    try:
+                        entry = Gate(head, lines)
+                    except ValueError as exc:
+                        raise NetlistError(str(exc), lineno) from None
+                    # Circuit.append's range check, which yields to the cap check on the
+                    # gate path below; lines read by int() need no type check
+                    if max(lines) >= width and len(gates) < cap:
+                        raise NetlistError(
+                            f"gate {head} {lines} out of range for width {width}", lineno
+                        )
+                seen[raw] = entry
+            if entry is separator:
+                if not stage:
+                    raise NetlistError("empty stage", lineno)
+                if clash:
+                    raise NetlistError("stage gates must act on pairwise disjoint lines", lineno)
+                marks.append(len(gates))
+                stage.clear()
                 continue
-            last_line = lineno
-            fields = line.split()
-            head = fields[0]
-            if not saw_version:
-                if head != "rev" or len(fields) != 2:
-                    raise NetlistError("expected version header 'rev 1'", lineno)
-                if fields[1] != str(FORMAT_VERSION):
-                    raise NetlistError(f"unsupported format version {fields[1]!r}", lineno)
-                saw_version = True
-                continue
-            if head in ("qubits", "reg", "anc"):
-                if circuit is not None:
-                    raise NetlistError(f"{head} declaration after the first gate", lineno)
-                if head == "qubits":
-                    width = _parse_width(fields, width, lineno)
-                else:
-                    registers.append(_parse_register(head, fields, registers, lineno))
-                continue
-            if circuit is None:
-                circuit = _empty_circuit(width, registers, lineno)
-                gates, marks = circuit.gates, circuit.stage_marks
-            if head == "---":
-                if len(fields) != 1:
-                    raise NetlistError("stage separator takes no arguments", lineno)
-                entry = _SEPARATOR
+            if len(gates) == cap:
+                raise NetlistError(f"gate {cap + 1} exceeds the limit of {cap} gates", lineno)
+            gates.append(entry)
+            lines = entry.lines
+            if disjoint(lines):
+                collect(lines)
             else:
-                if head not in ARITY:
-                    raise NetlistError(f"unknown gate mnemonic or directive {head!r}", lineno)
-                try:
-                    lines = tuple(map(int, fields[1:]))
-                except ValueError:
-                    for token in fields[1:]:  # word the error for the first bad token
-                        _parse_int(token, "line index", lineno)
-                    raise
-                try:
-                    entry = Gate(head, lines)
-                except ValueError as exc:
-                    raise NetlistError(str(exc), lineno) from None
-            seen[raw] = entry
-        if entry is _SEPARATOR:
-            if not stage:
-                raise NetlistError("empty stage", lineno)
-            if clash:
-                raise NetlistError("stage gates must act on pairwise disjoint lines", lineno)
-            marks.append(len(gates))
-            stage.clear()
-            continue
-        if len(gates) == cap:
-            raise NetlistError(f"gate {cap + 1} exceeds the limit of {cap} gates", lineno)
-        lines = entry.lines
-        # Circuit.append's range check; lines read by int() need no type check
-        if fresh and max(lines) >= width:
-            raise NetlistError(f"gate {head} {lines} out of range for width {width}", lineno)
-        gates.append(entry)
-        if disjoint(lines):
-            collect(lines)
-        else:
-            clash = True
+                clash = True
     if not saw_version:
         raise NetlistError("expected version header 'rev 1'", last_line)
     if circuit is None:

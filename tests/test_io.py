@@ -61,6 +61,43 @@ def test_write_parse_reproduces_exactly(circuit):
     assert write_netlist(again) == text  # canonical second pass
 
 
+@st.composite
+def valid_circuits(draw):
+    """Circuits of every gate kind at widths 2-70: marked stages of gates on
+    disjoint lines, then unmarked gates on any lines."""
+    width = draw(st.integers(2, 70))
+    ancillas = draw(st.integers(0, width - 1))
+    registers = [Register("R", 0, width - ancillas)]
+    if ancillas:
+        registers.append(Register("Z", width - ancillas, ancillas, draw(st.integers(0, 1))))
+    circ = Circuit(RegisterLayout(registers))
+
+    def gate(free):  # a gate on the first lines of `free`
+        kind = draw(st.sampled_from([kind for kind in ARITY if ARITY[kind] <= len(free)]))
+        return Gate(kind, tuple(free[:ARITY[kind]]))
+
+    for _ in range(draw(st.integers(0, 6))):
+        free = draw(st.permutations(range(width)))
+        for _ in range(draw(st.integers(1, 4))):
+            if len(free) < 2:
+                break
+            circ.append(gate(free))
+            free = free[len(circ.gates[-1].lines):]
+        circ.mark_stage()
+    for _ in range(draw(st.integers(0, 6))):
+        circ.append(gate(draw(st.permutations(range(width)))))
+    return circ
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_circuits())
+def test_random_circuits_round_trip(circuit):
+    text = write_netlist(circuit)
+    again = parse_netlist(text)
+    assert again == circuit
+    assert write_netlist(again) == text
+
+
 def test_roundtrip_simulates_identically():
     rng = random.Random(23)
     for circuit in (build_multiplier(2), build_ror(7)):
@@ -565,6 +602,12 @@ BASES = {
     )
     for size in sizes
 }
+# every gate kind, two stages of more than one gate, and unmarked trailing gates
+BASES["hand"] = write_netlist(hand_circuit(
+    [Gate("cx", (0, 1)), Gate("ccx", (2, 3, 4)), Gate("cswap", (4, 0, 1)), Gate("swap", (2, 3)),
+     Gate("cx", (0, 1)), Gate("swap", (3, 4)), Gate("ccx", (0, 1, 2)), Gate("cx", (0, 1))],
+    marks=(2, 4, 5),
+))
 
 JUNK = ["x", "-1", "1.5", "+2", "0x1", "99", "4096", "1_0", "٣", "---", "#", "rev", "ccx"]
 
@@ -733,6 +776,8 @@ def test_any_text_in_small_slices_parses_or_raises_netlist_error(text, size):
         (HEAD + "cx 0 3\n", "line 4: gate cx (0, 3) out of range for width 3"),
         (HEAD + "cx 0 1\ncx 0 1 # same gate\ncx 2 3\n",
          "line 6: gate cx (2, 3) out of range for width 3"),
+        (HEAD + "cx 0 " + "1" * 33 + "\n", "line 4: line index has 33 characters, above the limit of 32"),
+        ("rev 1\nqubits " + "0" * 40 + "3\n", "line 2: width has 41 characters, above the limit of 32"),
     ],
 )
 def test_error_messages_are_pinned(text, message):
@@ -788,10 +833,57 @@ def test_sim_refuses_a_netlist_above_the_gate_cap(monkeypatch, tmp_path, capsys)
     assert "line 6: gate 3 exceeds the limit of 2 gates" in capsys.readouterr().err
 
 
+def test_sim_refuses_a_huge_line_index_with_a_short_message(tmp_path, capsys):
+    # `main` lifts Python's digit limit, under which int() would convert the
+    # token in quadratic time and the range error would echo all of it
+    path = tmp_path / "huge.rev"
+    path.write_text(HEAD + "cx 0 " + "7" * 200_000 + "\n")
+    assert revmul.cli.main(["sim", str(path), "--set", "R=1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 4: line index has 200000 characters, above the limit of 32\n"
+    )
+
+
+def test_integer_tokens_of_the_longest_length_are_read():
+    longest = "0" * (revmul.io._MAX_INT_CHARS - 1)
+    circ = parse_netlist(f"rev 1\nqubits {longest}3\nreg R 0 {longest}2\ncx {longest}1 2\n")
+    assert circ.width == 3 and circ.gates == [Gate("cx", (1, 2))]
+
+
 def test_repeated_lines_share_one_gate():
     circ = parse_netlist(BASES["mul3"])
     assert circ == build_multiplier(3)
     assert len({id(gate) for gate in circ.gates}) < len(circ.gates)
+
+
+def _distinct_gate_lines(text):
+    """The distinct texts of the gate lines, comments and spacing included."""
+    texts = set()
+    for raw in text.splitlines():
+        fields = raw.partition("#")[0].split()
+        if fields and fields[0] in ARITY:
+            texts.add(raw)
+    return texts
+
+
+@pytest.mark.parametrize(
+    "text",
+    [write_netlist(build_multiplier(16)),
+     HEAD + "cx 0 1\n---\ncx  0 1 # spaced\n---\n\tcx 0 1\nswap 1 2#\nswap 1 2\ncx 0 1\n"],
+    ids=["mul16", "comments_and_spacing"],
+)
+def test_parser_constructs_one_gate_per_distinct_gate_line(text, monkeypatch):
+    calls = 0
+    checked_init = Gate.__init__
+
+    def counting_init(self, kind, lines):
+        nonlocal calls
+        calls += 1
+        checked_init(self, kind, lines)
+
+    monkeypatch.setattr(Gate, "__init__", counting_init)
+    circ = parse_netlist(text)
+    assert calls == len(_distinct_gate_lines(text)) < len(circ.gates)
 
 
 def _parse_transient_bytes(text):
