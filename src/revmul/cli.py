@@ -92,7 +92,7 @@ def _state_renderer(layout):
     fields = [(f"{r.name}=", r.start, (1 << r.size) - 1) for r in order]
 
     def render(state) -> str:
-        x = int(bytes(state)[::-1].translate(sim._DIGITS), 2)
+        x = sim._bits_value(state)
         return " ".join([name + str(x >> start & mask) for name, start, mask in fields])
 
     return render

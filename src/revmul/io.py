@@ -20,11 +20,8 @@ range-checked against that width, and gate line MAX_GATES + 1 (2^20 + 1) is
 refused, so no netlist can make the parser hold an unbounded gate list; the
 largest multiplier that fits is n = 418. An integer token longer than
 _MAX_INT_CHARS (32) characters is refused before it is converted, so no
-token can make int() run for minutes once Python's digit limit is lifted.
-The parser holds one slice of about _SLICE_CHARS characters as lines at a
-time, plus one memo entry per distinct line and one per distinct line-index
-token, never a list of every line. A new gate line gets the `Gate` checks,
-then the MAX_GATES check, then the range check.
+token can make int() run for minutes once Python's digit limit is lifted,
+and an error message names a longer token by its length alone.
 The writer emits a canonical form: writing, parsing and writing again is byte
 identical.
 """
@@ -89,9 +86,8 @@ def write_netlist(circuit: Circuit) -> str:
 
 
 def _parse_int(token: str, what: str, lineno: int) -> int:
-    """`token` as an int; one longer than _MAX_INT_CHARS is refused unread,
-    since int() takes time quadratic in the digits once Python's digit limit
-    is lifted, as `cli.main` does, and the message names only its length."""
+    """`token` as an int. One longer than _MAX_INT_CHARS is refused by its
+    length before int() reads it, since `cli.main` lifts the digit limit."""
     if len(token) > _MAX_INT_CHARS:
         raise NetlistError(
             f"{what} has {len(token)} characters, above the limit of {_MAX_INT_CHARS}", lineno
@@ -100,6 +96,11 @@ def _parse_int(token: str, what: str, lineno: int) -> int:
         return int(token)
     except ValueError:
         raise NetlistError(f"{what} must be an integer, got {token!r}", lineno) from None
+
+
+def _shown(token: str, spell=repr) -> str:
+    """`token` as a message echoes it: whole, or by its length if too long."""
+    return spell(token) if len(token) <= _MAX_INT_CHARS else f"of {len(token)} characters"
 
 
 _SEPARATOR = object()  # what a `---` line parses to
@@ -116,73 +117,91 @@ def _slices(text: str):
         start = stop
 
 
-def _parse_width(fields, width, lineno) -> int:
-    """The width a `qubits` line declares."""
-    if width is not None:
-        raise NetlistError("duplicate qubits declaration", lineno)
-    if len(fields) != 2:
-        raise NetlistError("qubits takes exactly one argument", lineno)
-    width = _parse_int(fields[1], "width", lineno)
-    if width < 1:
-        raise NetlistError(f"width must be positive, got {width}", lineno)
-    if width > MAX_QUBITS:
-        raise NetlistError(f"width {width} exceeds the limit of {MAX_QUBITS} lines", lineno)
-    return width
-
-
-def _parse_register(head, fields, registers, lineno) -> Register:
-    """The register a `reg` or `anc` line declares."""
-    if len(fields) != (4 if head == "reg" else 5):
-        raise NetlistError(f"malformed {head} declaration", lineno)
-    name = fields[1]
-    if any(r.name == name for r in registers):
-        raise NetlistError(f"duplicate register name {name!r}", lineno)
-    lo = _parse_int(fields[2], "register lo", lineno)
-    hi = _parse_int(fields[3], "register hi", lineno)
-    if hi < lo:
-        raise NetlistError(f"register {name} has hi {hi} < lo {lo}", lineno)
-    const = _parse_int(fields[4], "ancilla constant", lineno) if head == "anc" else None
-    try:
-        return Register(name, lo, hi - lo + 1, const)
-    except ValueError as exc:
-        raise NetlistError(str(exc), lineno) from None
-
-
-def _empty_circuit(width, registers, lineno) -> Circuit:
-    """The gateless circuit the declarations describe."""
+def _declarations(rows) -> tuple[Circuit, int, tuple[str, ...]]:
+    """Read the version header and the `qubits`, `reg` and `anc` lines off
+    the line iterator `rows`. Return the gateless circuit they declare, the
+    count of lines before the first line after them, and that line in a
+    1-tuple (() at the end of the text). The layout is checked at that line,
+    or at the last declaration if the text ends first."""
+    lineno = 0
+    last = None  # the last line with fields; None until the version header
+    width = None
+    registers: dict[str, Register] = {}  # by name, in file order
+    rest = ()
+    for raw in rows:
+        lineno += 1
+        fields = raw.partition("#")[0].split()
+        if not fields:
+            continue
+        head = fields[0]
+        if last is None:
+            if head != "rev" or len(fields) != 2:
+                raise NetlistError("expected version header 'rev 1'", lineno)
+            if fields[1] != str(FORMAT_VERSION):
+                raise NetlistError(f"unsupported format version {_shown(fields[1])}", lineno)
+        elif head == "qubits":
+            if width is not None:
+                raise NetlistError("duplicate qubits declaration", lineno)
+            if len(fields) != 2:
+                raise NetlistError("qubits takes exactly one argument", lineno)
+            width = _parse_int(fields[1], "width", lineno)
+            if width < 1:
+                raise NetlistError(f"width must be positive, got {width}", lineno)
+            if width > MAX_QUBITS:
+                raise NetlistError(f"width {width} exceeds the limit of {MAX_QUBITS} lines", lineno)
+        elif head == "reg" or head == "anc":
+            if len(fields) != (4 if head == "reg" else 5):
+                raise NetlistError(f"malformed {head} declaration", lineno)
+            name = fields[1]
+            if name in registers:
+                raise NetlistError(f"duplicate register name {_shown(name)}", lineno)
+            lo = _parse_int(fields[2], "register lo", lineno)
+            hi = _parse_int(fields[3], "register hi", lineno)
+            if hi < lo:
+                raise NetlistError(f"register {_shown(name, str)} has hi {hi} < lo {lo}", lineno)
+            const = _parse_int(fields[4], "ancilla constant", lineno) if head == "anc" else None
+            try:
+                registers[name] = Register(name, lo, hi - lo + 1, const)
+            except ValueError as exc:
+                raise NetlistError(str(exc), lineno) from None
+        else:
+            rest = (raw,)
+            break
+        last = lineno
+    else:
+        if last is None:
+            raise NetlistError("expected version header 'rev 1'")
+        lineno = last
     if width is None:
         raise NetlistError("missing qubits declaration", lineno)
     try:
-        layout = RegisterLayout(registers)
+        layout = RegisterLayout(registers.values())
     except ValueError as exc:
         raise NetlistError(str(exc), lineno) from None
     if layout.width != width:
         raise NetlistError(f"registers cover {layout.width} lines, qubits declares {width}", lineno)
-    return Circuit(layout)
+    return Circuit(layout), lineno - len(rest), rest
 
 
 def parse_netlist(text: str) -> Circuit:
     """Exact inverse of write_netlist; raises NetlistError with line numbers.
 
-    A line whose exact text was already read as a gate or a `---` reuses that
-    result (a `Gate` is frozen and does not depend on its position), so it
-    skips tokenizing, the `Gate` checks and the range check, which it passed
-    against the same width. Every gate line still counts toward MAX_GATES,
-    and every `---` gets the checks of `Circuit.mark_stage`: the open stage's
-    lines are collected as its gates are read, so a `---` does not revisit
-    them.
-
-    A new line is split once and tested first for the common case, a gate
-    mnemonic after the declarations; the version header, the declarations,
-    `---` and every malformed line take the other branch. A new gate gets
-    the `Gate` checks, then the MAX_GATES check, then the range check. Its
-    tokens go through a memo that lives for this call: each distinct token
-    is converted once, by `_parse_int`, which refuses one longer than
-    _MAX_INT_CHARS, and the gates share its int.
+    `_declarations` reads the lines up to the first gate, and the loop below
+    the rest, one slice of the text (`_slices`) at a time. A line whose exact
+    text was already read as a gate or a `---` reuses that result (a `Gate`
+    is frozen and does not depend on its position): it skips tokenizing, the
+    `Gate` checks and the range check, which it passed against the same
+    width. Every gate line still counts toward MAX_GATES, and every `---`
+    gets the checks of `Circuit.mark_stage` on the lines its stage's gates
+    were collected into as they were read. A new gate gets the `Gate` checks,
+    then the MAX_GATES check, then the range check; each distinct token is
+    converted once per call, by `_parse_int`, and the gates share its int.
+    So the parser holds one slice as lines and one memo entry per distinct
+    line and per distinct token, never a list of every line.
     """
-    width = None
-    registers: list[Register] = []
-    circuit = None
+    rows = chain.from_iterable(map(str.splitlines, _slices(text)))
+    circuit, lineno, rest = _declarations(rows)
+    width, gates, marks = circuit.width, circuit.gates, circuit.stage_marks
     cap = MAX_GATES
     seen: dict[str, object] = {}  # line text -> its Gate, or _SEPARATOR
     known = seen.get
@@ -192,84 +211,57 @@ def parse_netlist(text: str) -> Circuit:
     stage: set[int] = set()  # lines the open stage's gates act on
     disjoint, collect = stage.isdisjoint, stage.update
     clash = False  # two of them share a line, which its `---` reports
-    saw_version = False
-    last_line = None
-    lineno = 0
-    for piece in _slices(text):
-        for raw in piece.splitlines():
-            lineno += 1
-            entry = known(raw)
-            if entry is None:
-                fields = (raw.partition("#")[0] if "#" in raw else raw).split()
-                if not (fields and circuit is not None and fields[0] in ARITY):
-                    if not fields:
-                        continue
-                    last_line = lineno
-                    head = fields[0]
-                    if not saw_version:
-                        if head != "rev" or len(fields) != 2:
-                            raise NetlistError("expected version header 'rev 1'", lineno)
-                        if fields[1] != str(FORMAT_VERSION):
-                            raise NetlistError(f"unsupported format version {fields[1]!r}", lineno)
-                        saw_version = True
-                        continue
-                    if head in ("qubits", "reg", "anc"):
-                        if circuit is not None:
-                            raise NetlistError(f"{head} declaration after the first gate", lineno)
-                        if head == "qubits":
-                            width = _parse_width(fields, width, lineno)
-                        else:
-                            registers.append(_parse_register(head, fields, registers, lineno))
-                        continue
-                    if circuit is None:
-                        circuit = _empty_circuit(width, registers, lineno)
-                        gates, marks = circuit.gates, circuit.stage_marks
-                    if head == "---":
-                        if len(fields) != 1:
-                            raise NetlistError("stage separator takes no arguments", lineno)
-                        entry = separator
-                    elif head not in ARITY:
-                        raise NetlistError(f"unknown gate mnemonic or directive {head!r}", lineno)
-                if entry is None:  # a gate line not read before
-                    head = fields[0]
-                    try:
-                        lines = tuple(map(index, fields[1:]))
-                    except KeyError:  # convert the tokens not read before, the first bad one first
-                        for token in fields[1:]:
-                            if token not in ints:
-                                ints[token] = _parse_int(token, "line index", lineno)
-                        lines = tuple(map(index, fields[1:]))
-                    try:
-                        entry = Gate(head, lines)
-                    except ValueError as exc:
-                        raise NetlistError(str(exc), lineno) from None
-                    # Circuit.append's range check, which yields to the cap check on the
-                    # gate path below; lines read by int() need no type check
-                    if max(lines) >= width and len(gates) < cap:
-                        raise NetlistError(
-                            f"gate {head} {lines} out of range for width {width}", lineno
-                        )
-                seen[raw] = entry
-            if entry is separator:
-                if not stage:
-                    raise NetlistError("empty stage", lineno)
-                if clash:
-                    raise NetlistError("stage gates must act on pairwise disjoint lines", lineno)
-                marks.append(len(gates))
-                stage.clear()
+    for raw in chain(rest, rows):
+        lineno += 1
+        entry = known(raw)
+        if entry is None:
+            fields = (raw.partition("#")[0] if "#" in raw else raw).split()
+            if not fields:
                 continue
-            if len(gates) == cap:
-                raise NetlistError(f"gate {cap + 1} exceeds the limit of {cap} gates", lineno)
-            gates.append(entry)
-            lines = entry.lines
-            if disjoint(lines):
-                collect(lines)
-            else:
-                clash = True
-    if not saw_version:
-        raise NetlistError("expected version header 'rev 1'", last_line)
-    if circuit is None:
-        circuit = _empty_circuit(width, registers, last_line)
+            head = fields[0]
+            if head not in ARITY:
+                if head in ("qubits", "reg", "anc"):
+                    raise NetlistError(f"{head} declaration after the first gate", lineno)
+                if head != "---":
+                    raise NetlistError(f"unknown gate mnemonic or directive {_shown(head)}", lineno)
+                if len(fields) != 1:
+                    raise NetlistError("stage separator takes no arguments", lineno)
+                entry = separator
+            else:  # a gate line not read before
+                try:
+                    lines = tuple(map(index, fields[1:]))
+                except KeyError:  # convert the tokens not read before, the first bad one first
+                    for token in fields[1:]:
+                        if token not in ints:
+                            ints[token] = _parse_int(token, "line index", lineno)
+                    lines = tuple(map(index, fields[1:]))
+                try:
+                    entry = Gate(head, lines)
+                except ValueError as exc:
+                    raise NetlistError(str(exc), lineno) from None
+                # Circuit.append's range check, which yields to the cap check on the
+                # gate path below; lines read by int() need no type check
+                if max(lines) >= width and len(gates) < cap:
+                    raise NetlistError(
+                        f"gate {head} {lines} out of range for width {width}", lineno
+                    )
+            seen[raw] = entry
+        if entry is separator:
+            if not stage:
+                raise NetlistError("empty stage", lineno)
+            if clash:
+                raise NetlistError("stage gates must act on pairwise disjoint lines", lineno)
+            marks.append(len(gates))
+            stage.clear()
+            continue
+        if len(gates) == cap:
+            raise NetlistError(f"gate {cap + 1} exceeds the limit of {cap} gates", lineno)
+        gates.append(entry)
+        lines = entry.lines
+        if disjoint(lines):
+            collect(lines)
+        else:
+            clash = True
     return circuit
 
 

@@ -101,10 +101,15 @@ def pack_state(layout: RegisterLayout, values: dict[str, int]) -> list[int]:
     return bits
 
 
+def _bits_value(bits) -> int:
+    """The integer whose binary digits, least significant first, are `bits`."""
+    return int(bytes(bits)[::-1].translate(_DIGITS), 2)
+
+
 def register_value(layout: RegisterLayout, state: list[int], name: str) -> int:
     """Integer held by a named register in a basis state (bit 0 = LSB)."""
     reg = layout[name]
-    return int(bytes(reversed(state[reg.start : reg.end])).translate(_DIGITS), 2)
+    return _bits_value(state[reg.start : reg.end])
 
 
 def oracle_rotate_right(bits: list[int]) -> list[int]:
@@ -128,7 +133,7 @@ def oracle_multiply(n: int, a: int, b: int) -> int:
     if not 0 <= b < (1 << n):
         raise ValueError(f"operand b={b} out of range for {n} bits")
     p = _lane_add_and_rotate([a >> i & 1 for i in range(n)], [b >> i & 1 for i in range(n)])
-    return int(bytes(reversed(p)).translate(_DIGITS), 2)
+    return _bits_value(p)
 
 
 def _ripple_add(p: list[int], start: int, a_bit: int, b: list[int]) -> int:

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import random
 import re
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -478,6 +479,12 @@ def test_io_imports_only_circuit_gates_and_metrics():
 
 # ---------------------------------------------------------------- parser against a reference
 
+def shown(token, spell=repr):
+    """A file token as an error message echoes it: whole up to 32 characters,
+    by its length above that."""
+    return spell(token) if len(token) <= 32 else f"of {len(token)} characters"
+
+
 def reference_parse(text):
     """The parser as it was before it remembered repeated lines: every line
     tokenized, every token through `_parse_int`, a fresh `Gate` per line.
@@ -496,7 +503,7 @@ def reference_parse(text):
             if head != "rev" or len(fields) != 2:
                 raise NetlistError("expected version header 'rev 1'", lineno)
             if fields[1] != str(revmul.io.FORMAT_VERSION):
-                raise NetlistError(f"unsupported format version {fields[1]!r}", lineno)
+                raise NetlistError(f"unsupported format version {shown(fields[1])}", lineno)
             saw_version = True
         elif parser.circuit is None and head in ("qubits", "reg", "anc"):
             parser.header(head, fields, lineno)
@@ -552,11 +559,11 @@ class _ReferenceParser:
             raise NetlistError(f"malformed {head} declaration", lineno)
         name = fields[1]
         if any(r.name == name for r in self.registers):
-            raise NetlistError(f"duplicate register name {name!r}", lineno)
+            raise NetlistError(f"duplicate register name {shown(name)}", lineno)
         lo = _parse_int(fields[2], "register lo", lineno)
         hi = _parse_int(fields[3], "register hi", lineno)
         if hi < lo:
-            raise NetlistError(f"register {name} has hi {hi} < lo {lo}", lineno)
+            raise NetlistError(f"register {shown(name, str)} has hi {hi} < lo {lo}", lineno)
         const = _parse_int(fields[4], "ancilla constant", lineno) if head == "anc" else None
         try:
             self.registers.append(Register(name, lo, hi - lo + 1, const))
@@ -575,7 +582,7 @@ class _ReferenceParser:
                 raise NetlistError(str(exc), lineno) from None
             return
         if head not in ARITY:
-            raise NetlistError(f"unknown gate mnemonic or directive {head!r}", lineno)
+            raise NetlistError(f"unknown gate mnemonic or directive {shown(head)}", lineno)
         lines = [revmul.io._parse_int(tok, "line index", lineno) for tok in fields[1:]]
         try:
             self.circuit.append(Gate(head, tuple(lines)))
@@ -778,6 +785,24 @@ def test_any_text_in_small_slices_parses_or_raises_netlist_error(text, size):
          "line 6: gate cx (2, 3) out of range for width 3"),
         (HEAD + "cx 0 " + "1" * 33 + "\n", "line 4: line index has 33 characters, above the limit of 32"),
         ("rev 1\nqubits " + "0" * 40 + "3\n", "line 2: width has 41 characters, above the limit of 32"),
+        # where the declarations end and the gates begin
+        (HEAD + "swap 0 1\nrev 1\n", "line 5: unknown gate mnemonic or directive 'rev'"),
+        ("rev 1\nrev 1\n", "line 2: missing qubits declaration"),
+        (HEAD + "swap 0 1\n---\nanc Z 3 3 0\n", "line 6: anc declaration after the first gate"),
+        ("rev 1\nqubits 3\nfoo\n", "line 3: registers cover 0 lines, qubits declares 3"),
+        ("rev 1\n", "line 1: missing qubits declaration"),
+        # an echoed token of up to 32 characters is shown whole, a longer one by its length
+        ("rev " + "v" * 32 + "\n", f"line 1: unsupported format version '{'v' * 32}'"),
+        pytest.param("rev " + "v" * 400_000 + "\n",
+                     "line 1: unsupported format version of 400000 characters", id="long_version"),
+        pytest.param(HEAD + "q" * 400_000 + " 0 1\n",
+                     "line 4: unknown gate mnemonic or directive of 400000 characters",
+                     id="long_mnemonic"),
+        pytest.param("rev 1\nqubits 2\nreg {0} 0 0\nreg {0} 1 1\n".format("N" * 400_000),
+                     "line 4: duplicate register name of 400000 characters",
+                     id="long_duplicate_register"),
+        pytest.param("rev 1\nqubits 2\nreg " + "N" * 400_000 + " 1 0\n",
+                     "line 3: register of 400000 characters has hi 0 < lo 1", id="long_register"),
     ],
 )
 def test_error_messages_are_pinned(text, message):
@@ -806,6 +831,17 @@ def test_errors_after_the_first_slice_are_pinned(lineno, line, message):
     with pytest.raises(NetlistError) as info:
         reference_parse(text)
     assert str(info.value) == message
+
+
+def test_many_one_line_registers_parse_in_linear_time():
+    # the duplicate-name check once scanned every earlier register, so these
+    # 65,536 registers took about 2 minutes; a name lookup takes under 1 s
+    limit = revmul.io.MAX_QUBITS
+    regs = "".join(f"reg R{i} {i} {i}\n" for i in range(limit))
+    started = time.perf_counter()
+    message = err(f"rev 1\nqubits {limit}\n{regs}reg R5 0 0\n")
+    assert time.perf_counter() - started < 10
+    assert message == "line 65539: duplicate register name 'R5'"
 
 
 def test_gate_line_cap(monkeypatch):
