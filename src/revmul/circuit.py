@@ -5,6 +5,13 @@ from dataclasses import dataclass
 
 from .gates import Gate
 
+_MAX_SHOWN_CHARS = 32  # the longest name or token a message echoes whole
+
+
+def _shown(token: str, spell=repr) -> str:
+    """`token` as a message echoes it: whole, or by its length if too long."""
+    return spell(token) if len(token) <= _MAX_SHOWN_CHARS else f"of {len(token)} characters"
+
 
 @dataclass(frozen=True)
 class Register:
@@ -21,12 +28,14 @@ class Register:
 
     def __post_init__(self):
         if not self.name or any(ch.isspace() for ch in self.name):
-            raise ValueError(f"bad register name {self.name!r}")
+            raise ValueError(f"bad register name {_shown(self.name)}")
         # plain ints only: the writer prints these fields, and the parser
         # reads back only integers (a bool or float would print as True or 2.0)
         start, size, const = self.start, self.size, self.const
         if type(start) is not int or type(size) is not int or start < 0 or size < 1:
-            raise ValueError(f"bad register span {self.name}: start={start} size={size}")
+            raise ValueError(
+                f"bad register span {_shown(self.name, str)}: start={start} size={size}"
+            )
         if const is not None and (type(const) is not int or const not in (0, 1)):
             raise ValueError(f"ancilla constant must be 0 or 1, got {const!r}")
 
@@ -41,7 +50,7 @@ class Register:
     def line(self, bit: int) -> int:
         """Line index of the register's bit (0 = LSB)."""
         if not 0 <= bit < self.size:
-            raise ValueError(f"register {self.name} has no bit {bit}")
+            raise ValueError(f"register {_shown(self.name, str)} has no bit {bit}")
         return self.start + bit
 
     @property
@@ -60,9 +69,11 @@ class RegisterLayout:
         edge = 0
         for reg in sorted(regs, key=lambda r: r.start):
             if reg.start < edge:
-                raise ValueError(f"register {reg.name} overlaps a previous register")
+                raise ValueError(f"register {_shown(reg.name, str)} overlaps a previous register")
             if reg.start > edge:
-                raise ValueError(f"layout gap before register {reg.name} at line {edge}")
+                raise ValueError(
+                    f"layout gap before register {_shown(reg.name, str)} at line {edge}"
+                )
             edge = reg.end
         self.registers = regs
         self.width = edge
@@ -72,7 +83,7 @@ class RegisterLayout:
         try:
             return self._by_name[name]
         except KeyError:
-            raise KeyError(f"no register named {name!r}") from None
+            raise KeyError(f"no register named {_shown(name)}") from None
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
@@ -102,9 +113,8 @@ class Circuit:
     stage must act on pairwise disjoint lines, which is what makes the staged
     delay accounting (cost of a stage = its most expensive gate) sound.
     append() and mark_stage() are the checked way in from outside the package.
-    The builders fill gates and stage_marks directly, keeping the same rules by
-    construction; io.parse_netlist checks them inline. Treat a built circuit
-    as immutable.
+    The builders fill gates and stage_marks directly (see synth._circuit), and
+    io.parse_netlist checks them inline. Treat a built circuit as immutable.
     """
 
     def __init__(self, layout: RegisterLayout):

@@ -206,8 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_size_flags(p):
-        p.add_argument("--n", type=int, help="operand width (mul, addnop)")
-        p.add_argument("--width", type=int, help="register width (ror, cror)")
+        for flag, what in (("n", "operand width"), ("width", "register width")):
+            names = ", ".join(name for name, block in _BLOCKS.items() if block.flag == flag)
+            p.add_argument(f"--{flag}", type=int, help=f"{what} ({names})")
 
     p = sub.add_parser("build", help="generate a circuit and write its netlist")
     p.add_argument("block", choices=sorted(_BLOCKS))
@@ -226,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="print the state at each stage")
 
     p = sub.add_parser("verify", help="check a generated circuit against its oracle")
-    p.add_argument("block", choices=("mul", "ror", "cror"))
+    p.add_argument("block", choices=[name for name, block in _BLOCKS.items() if block.verify])
     add_size_flags(p)
     p.add_argument("--exhaustive", action="store_true", help="sweep every input")
     p.add_argument("--random", type=int, metavar="COUNT", help="seeded random sweep")

@@ -21,7 +21,8 @@ refused, so no netlist can make the parser hold an unbounded gate list; the
 largest multiplier that fits is n = 418. An integer token longer than
 _MAX_INT_CHARS (32) characters is refused before it is converted, so no
 token can make int() run for minutes once Python's digit limit is lifted,
-and an error message names a longer token by its length alone.
+and an error message names a longer token or register name by its length
+alone (`circuit._shown`).
 The writer emits a canonical form: writing, parsing and writing again is byte
 identical.
 """
@@ -30,7 +31,7 @@ import dataclasses
 import json
 from itertools import chain, count, repeat
 
-from .circuit import Circuit, Register, RegisterLayout
+from .circuit import _MAX_SHOWN_CHARS, Circuit, Register, RegisterLayout, _shown
 from .gates import ARITY, KIND_ORDER, Gate
 from .metrics import Metrics
 
@@ -38,7 +39,7 @@ FORMAT_VERSION = 1
 MAX_QUBITS = 1 << 16
 MAX_GATES = 1 << 20  # also the largest circuit `cli` builds
 _SLICE_CHARS = 1 << 16  # the parser splits the text into lines this much at a time
-_MAX_INT_CHARS = 32  # the longest integer token the parser converts
+_MAX_INT_CHARS = _MAX_SHOWN_CHARS  # the longest integer token the parser converts
 
 
 class NetlistError(ValueError):
@@ -96,11 +97,6 @@ def _parse_int(token: str, what: str, lineno: int) -> int:
         return int(token)
     except ValueError:
         raise NetlistError(f"{what} must be an integer, got {token!r}", lineno) from None
-
-
-def _shown(token: str, spell=repr) -> str:
-    """`token` as a message echoes it: whole, or by its length if too long."""
-    return spell(token) if len(token) <= _MAX_INT_CHARS else f"of {len(token)} characters"
 
 
 _SEPARATOR = object()  # what a `---` line parses to

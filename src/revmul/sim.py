@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .circuit import Circuit, RegisterLayout
+from .circuit import Circuit, RegisterLayout, _shown
 from .gates import FREDKIN, SWAP, TOFFOLI
 from .synth import build_controlled_ror, build_multiplier, build_ror, multiplier_layout, ror_layout
 
@@ -83,19 +83,19 @@ def pack_state(layout: RegisterLayout, values: dict[str, int]) -> list[int]:
     """
     unknown = set(values) - {r.name for r in layout.registers}
     if unknown:
-        raise ValueError(f"no register named {sorted(unknown)[0]!r}")
+        raise ValueError(f"no register named {_shown(sorted(unknown)[0])}")
     bits = [0] * layout.width
     for reg in layout.registers:
         if reg.name in values:
             value = values[reg.name]
             if not 0 <= value < (1 << reg.size):
                 raise ValueError(
-                    f"value {value} does not fit register {reg.name} ({reg.size} bits)"
+                    f"value {value} does not fit register {_shown(reg.name, str)} ({reg.size} bits)"
                 )
         elif reg.is_ancilla:
             value = -reg.const & ((1 << reg.size) - 1)  # constant replicated per line
         else:
-            raise ValueError(f"missing value for data register {reg.name}")
+            raise ValueError(f"missing value for data register {_shown(reg.name, str)}")
         for bit in range(reg.size):
             bits[reg.start + bit] = (value >> bit) & 1
     return bits

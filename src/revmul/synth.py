@@ -77,50 +77,39 @@ def _addnop_stages(a: int, b: list[int], w: list[int], z: int) -> list[list[Gate
     when needed. The top position computes its carry into b[n-1] between a
     Fredkin pair and stores it on w[n]. Going back down, the same Fredkins
     undo the swaps in reverse order, restoring b and handing each position its
-    carry-in back on z just in time for the closing half-add Toffoli.
+    carry-in back on z just in time for the closing half-add Toffoli. The
+    one-bit block is the top position alone, under the same rule: with no
+    upward layer to join, its opening half add is a stage of its own.
 
     Budget: 2n+1 Toffoli + 2n Fredkin in 3n+2 stages, each stage a layer of
     line-disjoint gates.
     """
     n = len(b)
-    if n == 1:
-        return [
-            [toffoli(a, b[0], w[0])],
-            [fredkin(w[0], b[0], z)],
-            [toffoli(a, b[0], w[1])],
-            [fredkin(w[0], b[0], z)],
-            [toffoli(a, z, w[0])],
-        ]
     stages = []
     for i in range(n - 1):  # upward carry sweep
-        stages.append([toffoli(a, z, w[i])])
-        layer = [fredkin(w[i], b[i], z)]
-        if i == n - 2:
-            layer.append(toffoli(a, b[n - 1], w[n - 1]))
-        stages.append(layer)
+        stages += [[toffoli(a, z, w[i])], [fredkin(w[i], b[i], z)]]
+    # the top position's opening half add joins the last upward layer, if any
+    stages.append((stages.pop() if n > 1 else []) + [toffoli(a, b[n - 1], w[n - 1])])
     stages += [
         [fredkin(w[n - 1], b[n - 1], z)],
         [toffoli(a, b[n - 1], w[n])],  # final carry lands on the top window line
         [fredkin(w[n - 1], b[n - 1], z)],
         [toffoli(a, z, w[n - 1])],
-        [fredkin(w[n - 2], b[n - 2], z)],
     ]
-    for i in range(n - 2, 0, -1):  # downward unwind
-        stages.append([toffoli(a, b[i], w[i]), fredkin(w[i - 1], b[i - 1], z)])
-    stages.append([toffoli(a, b[0], w[0])])
+    if n > 1:  # downward unwind
+        stages.append([fredkin(w[n - 2], b[n - 2], z)])
+        for i in range(n - 2, 0, -1):
+            stages.append([toffoli(a, b[i], w[i]), fredkin(w[i - 1], b[i - 1], z)])
+        stages.append([toffoli(a, b[0], w[0])])
     return stages
 
 
 def _ror_stages(lines: list[int]) -> list[list[Gate]]:
-    """Two layers of disjoint swaps realizing rotate-right-by-one.
-
-    Works for even and odd spans; a span of 2 degenerates to a single swap.
-    """
+    """Two layers of disjoint swaps realizing rotate-right-by-one over k
+    lines: k // 2 swaps, then (k - 1) // 2, so a span of 2 is one swap."""
     k = len(lines)
-    half = k // 2
-    first = [swap(lines[i], lines[k - 1 - i]) for i in range(half)]
-    second_count = half - 1 if k % 2 == 0 else half
-    second = [swap(lines[i], lines[k - 2 - i]) for i in range(second_count)]
+    first = [swap(lines[i], lines[k - 1 - i]) for i in range(k // 2)]
+    second = [swap(lines[i], lines[k - 2 - i]) for i in range((k - 1) // 2)]
     return [first, second] if second else [first]
 
 
@@ -195,12 +184,12 @@ def build_multiplier(n: int) -> Circuit:
     layout = multiplier_layout(n)
     a, p = layout["A"], list(layout["P"].lines)
     b, window, z = list(layout["B"].lines), p[-(n + 1):], layout["Zcin"].start
-    first = {ADDNOP: lambda: _addnop_stages(a.start, b, window, z), ROR: lambda: _ror_stages(p)}
     circ, templates = Circuit(layout), {}
     gates, marks = circ.gates, circ.stage_marks
     for kind, m, span, _ in _multiplier_blocks(n):
         if m == 0:  # the first of its kind keeps its own gates and is the template of the rest
-            block = _circuit(layout, first[kind]())
+            stages = _addnop_stages(a.start, b, window, z) if kind == ADDNOP else _ror_stages(p)
+            block = _circuit(layout, stages)
             lines = [g.lines for g in block.gates]
             toffolis = [(i, g.lines[1:]) for i, g in enumerate(block.gates) if g.kind == TOFFOLI]
             templates[kind] = block, [g.kind for g in block.gates], lines, toffolis

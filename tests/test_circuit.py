@@ -140,3 +140,21 @@ def test_register_fields_must_be_plain_ints(args, message):
     with pytest.raises(ValueError) as info:
         Register(*args)
     assert str(info.value) == message
+
+
+LONG = "N" * 400_000  # a register name longer than any message echoes whole
+
+
+def test_long_register_names_are_echoed_by_length():
+    with pytest.raises(ValueError) as info:
+        Register(LONG + " ", 0, 1)
+    assert str(info.value) == "bad register name of 400001 characters"
+    with pytest.raises(ValueError) as info:
+        Register(LONG, 0, 1).line(1)
+    assert str(info.value) == "register of 400000 characters has no bit 1"
+    with pytest.raises(KeyError) as info:
+        multiplier_layout(2)[LONG]
+    assert info.value.args[0] == "no register named of 400000 characters"
+    with pytest.raises(KeyError) as info:
+        multiplier_layout(2)["Q" * 32]
+    assert info.value.args[0] == f"no register named {'Q' * 32!r}"

@@ -151,6 +151,14 @@ def test_sim_missing_register_named(tmp_path, capsys):
     assert "register B" in capsys.readouterr().err
 
 
+def test_sim_echoes_a_long_register_name_by_length(tmp_path, capsys):
+    path = tmp_path / "long.rev"
+    path.write_text("rev 1\nqubits 2\nreg " + "N" * 400_000 + " 0 1\nswap 0 1\n")
+    assert main(["sim", str(path)]) == 2
+    err = "error: missing value for data register of 400000 characters\n"
+    assert capsys.readouterr() == ("", err)
+
+
 def test_sim_bad_value_names_the_register(tmp_path, capsys):
     path = tmp_path / "mul2.rev"
     main(["build", "mul", "--n", "2", "--out", str(path)])

@@ -803,6 +803,18 @@ def test_any_text_in_small_slices_parses_or_raises_netlist_error(text, size):
                      id="long_duplicate_register"),
         pytest.param("rev 1\nqubits 2\nreg " + "N" * 400_000 + " 1 0\n",
                      "line 3: register of 400000 characters has hi 0 < lo 1", id="long_register"),
+        # the layout's messages echo a register name the same way
+        ("rev 1\nqubits 3\nreg A 0 0\nreg " + "N" * 32 + " 2 2\n",
+         f"line 4: layout gap before register {'N' * 32} at line 1"),
+        pytest.param("rev 1\nqubits 2\nreg " + "N" * 400_000 + " -1 0\n",
+                     "line 3: bad register span of 400000 characters: start=-1 size=2",
+                     id="long_register_span"),
+        pytest.param("rev 1\nqubits 3\nreg A 0 1\nreg " + "N" * 400_000 + " 1 2\n",
+                     "line 4: register of 400000 characters overlaps a previous register",
+                     id="long_overlapping_register"),
+        pytest.param("rev 1\nqubits 3\nreg A 0 0\nreg " + "N" * 400_000 + " 2 2\n",
+                     "line 4: layout gap before register of 400000 characters at line 1",
+                     id="long_register_after_gap"),
     ],
 )
 def test_error_messages_are_pinned(text, message):

@@ -409,6 +409,19 @@ def test_pack_state_range_check():
         pack_state(layout, {"A": 4, "B": 0})
 
 
+def test_pack_state_echoes_a_long_register_name_by_length():
+    long = "N" * 400_000
+    layout = RegisterLayout([Register(long, 0, 2)])
+    for values, message in [
+        ({}, "missing value for data register of 400000 characters"),
+        ({long: 4}, "value 4 does not fit register of 400000 characters (2 bits)"),
+        ({long: 0, "Q" + long: 0}, "no register named of 400001 characters"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            pack_state(layout, values)
+        assert str(info.value) == message
+
+
 def test_pack_state_ancilla_default_and_override():
     layout = build_addnop(2).layout
     state = pack_state(layout, {"A": 1, "B": 2})

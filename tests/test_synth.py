@@ -369,8 +369,9 @@ def test_builders_never_call_the_checked_path(monkeypatch):
         build_multiplier(n)
 
 
-# sha256 of the .rev netlist, the digests the benchmark pins
+# sha256 of the .rev netlist: n = 1, then the digests the benchmark pins
 MULTIPLIER_NETLIST_SHA256 = {
+    1: "87322c8892d12610ce342b33090a110521e72a0457a0898570f05a06072ed1cc",
     2: "8a0a8995aa31facd2677379a6cf01c53fb449c7758432e4c1a33a4ea7a8bed7c",
     3: "1e90fa1d20df9712cada5476c50e8c2ea87ddb908bbba86c89b41654f1d313b1",
     4: "71fa9c5de262134a102597ccc4ea9cf64e8719cae1d9682173b0e21bd73885a8",
@@ -383,3 +384,22 @@ MULTIPLIER_NETLIST_SHA256 = {
 def test_multiplier_netlist_bytes_pinned(n):
     text = write_netlist(build_multiplier(n))
     assert hashlib.sha256(text.encode()).hexdigest() == MULTIPLIER_NETLIST_SHA256[n]
+
+
+# sha256 of the .rev netlist of each block at the edges of its rule: the
+# one-bit ADD/NOP (no upward layer, nothing to unwind; it is the n = 1
+# multiplier), the two-bit ADD/NOP, and the one- and two-stage rotates
+BLOCK_NETLIST_SHA256 = {
+    (build_addnop, 1): MULTIPLIER_NETLIST_SHA256[1],
+    (build_addnop, 2): "d8c72c3d722969263e80572e066801cb63d452b59974656c9bf57b7025596da5",
+    (build_ror, 2): "5ad81cd47e9f704292244080b9ac46ea93d81328b58acb89c5e5f011d4bd5d1b",
+    (build_ror, 3): "8cfd99e82172c722bf232417072a37694507ce2d91d8a74d936e173b698a3dc8",
+}
+
+
+@pytest.mark.parametrize(
+    "build, size", list(BLOCK_NETLIST_SHA256), ids=lambda arg: getattr(arg, "__name__", arg)
+)
+def test_block_netlist_bytes_pinned(build, size):
+    text = write_netlist(build(size))
+    assert hashlib.sha256(text.encode()).hexdigest() == BLOCK_NETLIST_SHA256[build, size]
