@@ -17,6 +17,7 @@ import time
 from collections import namedtuple
 
 from . import analysis, io as revio, sim, synth
+from .circuit import _shown
 from .metrics import structural_metrics
 
 _Block = namedtuple("_Block", "flag gates build exhaustive_up_to unit verify", defaults=(None,) * 3)
@@ -77,23 +78,26 @@ def _integer(raw: str, source: str) -> int:
     try:
         return int(raw, 0)
     except ValueError:
-        raise ValueError(f"{source} must be an integer, got {raw!r}") from None
+        raise ValueError(f"{source} must be an integer, got {_shown(raw)}") from None
 
 
 def _default_seed() -> int:
     return _integer(os.environ.get("REVMUL_SEED", "0"), "REVMUL_SEED")
 
 
-def _state_renderer(layout):
-    """A function that renders a one-lane state as "NAME=value ...", the
-    result register first and the rest in layout order. The register shifts
-    and masks are resolved once; each state is decoded to one integer."""
+def _state_renderer(layout, head=""):
+    """A function `render(state, *lead)` that renders a one-lane state as
+    `head % lead` followed by "NAME=value ...", the result register first and
+    the rest in layout order, through one %-template (a `%` in a name is
+    escaped as `%%`). The register shifts and masks are resolved once; each
+    state is decoded to one integer."""
     order = sorted(layout.registers, key=lambda r: r.name != "P")
-    fields = [(f"{r.name}=", r.start, (1 << r.size) - 1) for r in order]
+    template = head + " ".join([f"{r.name.replace('%', '%%')}=%d" for r in order])
+    fields = [(r.start, (1 << r.size) - 1) for r in order]
 
-    def render(state) -> str:
+    def render(state, *lead) -> str:
         x = sim._bits_value(state)
-        return " ".join([name + str(x >> start & mask) for name, start, mask in fields])
+        return template % (*lead, *[x >> start & mask for start, mask in fields])
 
     return render
 
@@ -123,17 +127,18 @@ def cmd_sim(args) -> int:
     for item in args.set or []:
         name, eq, raw = item.partition("=")
         if not eq or not name:
-            raise ValueError(f"input assignment must look like NAME=VALUE, got {item!r}")
-        values[name] = _integer(raw, f"the value of register {name}")
+            raise ValueError(f"input assignment must look like NAME=VALUE, got {_shown(item)}")
+        values[name] = _integer(raw, f"the value of register {_shown(name, str)}")
     state = sim.pack_state(circuit.layout, values)
-    render = _state_renderer(circuit.layout)
+    stage_line = _state_renderer(circuit.layout, "stage %d: ")
     number = itertools.count(1)
     write = sys.stdout.write
 
     def show(stage_state):  # each stage prints as the run reaches it; none is kept
-        write(f"stage {next(number)}: {render(stage_state)}\n")  # print() writes twice
+        write(stage_line(stage_state, next(number)) + "\n")  # print() writes twice
 
-    print(render(sim.run(circuit, state, trace=show if args.trace else None)))
+    final = sim.run(circuit, state, trace=show if args.trace else None)
+    print(_state_renderer(circuit.layout)(final))
     return 0
 
 

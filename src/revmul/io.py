@@ -113,57 +113,60 @@ def _slices(text: str):
         start = stop
 
 
-def _declarations(rows) -> tuple[Circuit, int, tuple[str, ...]]:
+def _declarations(pieces) -> tuple[Circuit, int, list[str]]:
     """Read the version header and the `qubits`, `reg` and `anc` lines off
-    the line iterator `rows`. Return the gateless circuit they declare, the
-    count of lines before the first line after them, and that line in a
-    1-tuple (() at the end of the text). The layout is checked at that line,
-    or at the last declaration if the text ends first."""
+    `pieces`, an iterator of lists of lines. Return the gateless circuit they
+    declare, the count of lines before the first line after them, and that
+    line with the rest of its list ([] at the end of the text). The layout is
+    checked at that line, or at the last declaration if the text ends first."""
     lineno = 0
     last = None  # the last line with fields; None until the version header
     width = None
     registers: dict[str, Register] = {}  # by name, in file order
-    rest = ()
-    for raw in rows:
-        lineno += 1
-        fields = raw.partition("#")[0].split()
-        if not fields:
-            continue
-        head = fields[0]
-        if last is None:
-            if head != "rev" or len(fields) != 2:
-                raise NetlistError("expected version header 'rev 1'", lineno)
-            if fields[1] != str(FORMAT_VERSION):
-                raise NetlistError(f"unsupported format version {_shown(fields[1])}", lineno)
-        elif head == "qubits":
-            if width is not None:
-                raise NetlistError("duplicate qubits declaration", lineno)
-            if len(fields) != 2:
-                raise NetlistError("qubits takes exactly one argument", lineno)
-            width = _parse_int(fields[1], "width", lineno)
-            if width < 1:
-                raise NetlistError(f"width must be positive, got {width}", lineno)
-            if width > MAX_QUBITS:
-                raise NetlistError(f"width {width} exceeds the limit of {MAX_QUBITS} lines", lineno)
-        elif head == "reg" or head == "anc":
-            if len(fields) != (4 if head == "reg" else 5):
-                raise NetlistError(f"malformed {head} declaration", lineno)
-            name = fields[1]
-            if name in registers:
-                raise NetlistError(f"duplicate register name {_shown(name)}", lineno)
-            lo = _parse_int(fields[2], "register lo", lineno)
-            hi = _parse_int(fields[3], "register hi", lineno)
-            if hi < lo:
-                raise NetlistError(f"register {_shown(name, str)} has hi {hi} < lo {lo}", lineno)
-            const = _parse_int(fields[4], "ancilla constant", lineno) if head == "anc" else None
-            try:
-                registers[name] = Register(name, lo, hi - lo + 1, const)
-            except ValueError as exc:
-                raise NetlistError(str(exc), lineno) from None
-        else:
-            rest = (raw,)
+    rest = []
+    for piece in pieces:
+        for at, raw in enumerate(piece):
+            lineno += 1
+            fields = raw.partition("#")[0].split()
+            if not fields:
+                continue
+            head = fields[0]
+            if last is None:
+                if head != "rev" or len(fields) != 2:
+                    raise NetlistError("expected version header 'rev 1'", lineno)
+                if fields[1] != str(FORMAT_VERSION):
+                    raise NetlistError(f"unsupported format version {_shown(fields[1])}", lineno)
+            elif head == "qubits":
+                if width is not None:
+                    raise NetlistError("duplicate qubits declaration", lineno)
+                if len(fields) != 2:
+                    raise NetlistError("qubits takes exactly one argument", lineno)
+                width = _parse_int(fields[1], "width", lineno)
+                if width < 1:
+                    raise NetlistError(f"width must be positive, got {width}", lineno)
+                if width > MAX_QUBITS:
+                    raise NetlistError(f"width {width} exceeds the limit of {MAX_QUBITS} lines", lineno)
+            elif head == "reg" or head == "anc":
+                if len(fields) != (4 if head == "reg" else 5):
+                    raise NetlistError(f"malformed {head} declaration", lineno)
+                name = fields[1]
+                if name in registers:
+                    raise NetlistError(f"duplicate register name {_shown(name)}", lineno)
+                lo = _parse_int(fields[2], "register lo", lineno)
+                hi = _parse_int(fields[3], "register hi", lineno)
+                if hi < lo:
+                    raise NetlistError(f"register {_shown(name, str)} has hi {hi} < lo {lo}", lineno)
+                const = _parse_int(fields[4], "ancilla constant", lineno) if head == "anc" else None
+                try:
+                    registers[name] = Register(name, lo, hi - lo + 1, const)
+                except ValueError as exc:
+                    raise NetlistError(str(exc), lineno) from None
+            else:
+                rest = piece[at:]
+                break
+            last = lineno
+        if rest:
             break
-        last = lineno
     else:
         if last is None:
             raise NetlistError("expected version header 'rev 1'")
@@ -176,7 +179,7 @@ def _declarations(rows) -> tuple[Circuit, int, tuple[str, ...]]:
         raise NetlistError(str(exc), lineno) from None
     if layout.width != width:
         raise NetlistError(f"registers cover {layout.width} lines, qubits declares {width}", lineno)
-    return Circuit(layout), lineno - len(rest), rest
+    return Circuit(layout), lineno - 1 if rest else lineno, rest
 
 
 def parse_netlist(text: str) -> Circuit:
@@ -187,77 +190,93 @@ def parse_netlist(text: str) -> Circuit:
     text was already read as a gate or a `---` reuses that result (a `Gate`
     is frozen and does not depend on its position): it skips tokenizing, the
     `Gate` checks and the range check, which it passed against the same
-    width. Every gate line still counts toward MAX_GATES, and every `---`
-    gets the checks of `Circuit.mark_stage` on the lines its stage's gates
-    were collected into as they were read. A new gate gets the `Gate` checks,
-    then the MAX_GATES check, then the range check; each distinct token is
-    converted once per call, by `_parse_int`, and the gates share its int.
-    So the parser holds one slice as lines and one memo entry per distinct
-    line and per distinct token, never a list of every line.
+    width. Every gate line still counts toward MAX_GATES. A new gate line
+    looks its tokens up in a memo that holds only line indices in [0, width),
+    so a line of known tokens needs no range check. On a token not in the
+    memo, each new token is converted by `_parse_int`, the first bad one
+    first, then come the `Gate` checks, then the range check, which yields to
+    the MAX_GATES check; the in-range tokens join the memo, and the gates
+    share their ints. Each gate adds its lines to one list, which a `---`
+    checks as `Circuit.mark_stage` does: not empty, no line twice. A list
+    longer than the width must repeat a line, so at the end of a slice such a
+    list is dropped and the clash kept for the next `---`. So the parser holds
+    one slice as lines, the stage list, and one memo entry per distinct line
+    and per distinct token, never a list of every line.
     """
-    rows = chain.from_iterable(map(str.splitlines, _slices(text)))
-    circuit, lineno, rest = _declarations(rows)
+    pieces = map(str.splitlines, _slices(text))
+    circuit, lineno, rest = _declarations(pieces)
     width, gates, marks = circuit.width, circuit.gates, circuit.stage_marks
     cap = MAX_GATES
     seen: dict[str, object] = {}  # line text -> its Gate, or _SEPARATOR
     known = seen.get
-    ints: dict[str, int] = {}  # token -> its line index
-    index = ints.__getitem__
+    ints: dict[str, int] = {}  # token -> its line index, for indices in [0, width)
     separator = _SEPARATOR
-    stage: set[int] = set()  # lines the open stage's gates act on
-    disjoint, collect = stage.isdisjoint, stage.update
-    clash = False  # two of them share a line, which its `---` reports
-    for raw in chain(rest, rows):
-        lineno += 1
-        entry = known(raw)
-        if entry is None:
-            fields = (raw.partition("#")[0] if "#" in raw else raw).split()
-            if not fields:
+    stage: list[int] = []  # lines the open stage's gates act on
+    add, collect = gates.append, stage.extend
+    clash = False  # the open stage's gates share a line, which its `---` reports
+    for piece in chain((rest,), pieces):
+        for raw in piece:
+            lineno += 1
+            entry = known(raw)
+            if entry is None:
+                fields = (raw.partition("#")[0] if "#" in raw else raw).split()
+                if not fields:
+                    continue
+                head = fields[0]
+                if head not in ARITY:
+                    if head in ("qubits", "reg", "anc"):
+                        raise NetlistError(f"{head} declaration after the first gate", lineno)
+                    if head != "---":
+                        raise NetlistError(f"unknown gate mnemonic or directive {_shown(head)}", lineno)
+                    if len(fields) != 1:
+                        raise NetlistError("stage separator takes no arguments", lineno)
+                    entry = separator
+                else:  # a gate line not read before
+                    try:
+                        if len(fields) == 4:
+                            lines = ints[fields[1]], ints[fields[2]], ints[fields[3]]
+                        elif len(fields) == 3:
+                            lines = ints[fields[1]], ints[fields[2]]
+                        else:
+                            lines = tuple([ints[token] for token in fields[1:]])
+                        fresh = False
+                    except KeyError:  # a token not read before; the first bad one raises first
+                        lines = tuple([
+                            ints[token] if token in ints else _parse_int(token, "line index", lineno)
+                            for token in fields[1:]
+                        ])
+                        fresh = True
+                    try:
+                        entry = Gate(head, lines)
+                    except ValueError as exc:
+                        raise NetlistError(str(exc), lineno) from None
+                    if fresh:
+                        # Circuit.append's range check, which yields to the cap check
+                        # below; lines read by int() need no type check
+                        if max(lines) >= width:
+                            if len(gates) < cap:
+                                raise NetlistError(
+                                    f"gate {head} {lines} out of range for width {width}", lineno
+                                )
+                        else:
+                            ints.update(zip(fields[1:], lines))
+                seen[raw] = entry
+            if entry is separator:
+                if clash or len(set(stage)) != len(stage):
+                    raise NetlistError("stage gates must act on pairwise disjoint lines", lineno)
+                if not stage:
+                    raise NetlistError("empty stage", lineno)
+                marks.append(len(gates))
+                stage.clear()
                 continue
-            head = fields[0]
-            if head not in ARITY:
-                if head in ("qubits", "reg", "anc"):
-                    raise NetlistError(f"{head} declaration after the first gate", lineno)
-                if head != "---":
-                    raise NetlistError(f"unknown gate mnemonic or directive {_shown(head)}", lineno)
-                if len(fields) != 1:
-                    raise NetlistError("stage separator takes no arguments", lineno)
-                entry = separator
-            else:  # a gate line not read before
-                try:
-                    lines = tuple(map(index, fields[1:]))
-                except KeyError:  # convert the tokens not read before, the first bad one first
-                    for token in fields[1:]:
-                        if token not in ints:
-                            ints[token] = _parse_int(token, "line index", lineno)
-                    lines = tuple(map(index, fields[1:]))
-                try:
-                    entry = Gate(head, lines)
-                except ValueError as exc:
-                    raise NetlistError(str(exc), lineno) from None
-                # Circuit.append's range check, which yields to the cap check on the
-                # gate path below; lines read by int() need no type check
-                if max(lines) >= width and len(gates) < cap:
-                    raise NetlistError(
-                        f"gate {head} {lines} out of range for width {width}", lineno
-                    )
-            seen[raw] = entry
-        if entry is separator:
-            if not stage:
-                raise NetlistError("empty stage", lineno)
-            if clash:
-                raise NetlistError("stage gates must act on pairwise disjoint lines", lineno)
-            marks.append(len(gates))
-            stage.clear()
-            continue
-        if len(gates) == cap:
-            raise NetlistError(f"gate {cap + 1} exceeds the limit of {cap} gates", lineno)
-        gates.append(entry)
-        lines = entry.lines
-        if disjoint(lines):
-            collect(lines)
-        else:
+            if len(gates) == cap:
+                raise NetlistError(f"gate {cap + 1} exceeds the limit of {cap} gates", lineno)
+            add(entry)
+            collect(entry.lines)
+        piece.clear()  # frees its lines now; `rest` would hold the first slice's to the end
+        if len(stage) > width:  # two of its lines are equal
             clash = True
+            stage.clear()
     return circuit
 
 

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .circuit import Circuit, RegisterLayout, _shown
+from .circuit import _MAX_SHOWN_CHARS, Circuit, RegisterLayout, _shown
 from .gates import FREDKIN, SWAP, TOFFOLI
 from .synth import build_controlled_ror, build_multiplier, build_ror, multiplier_layout, ror_layout
 
@@ -89,6 +89,9 @@ def pack_state(layout: RegisterLayout, values: dict[str, int]) -> list[int]:
         if reg.name in values:
             value = values[reg.name]
             if not 0 <= value < (1 << reg.size):
+                # a value of more than _MAX_SHOWN_CHARS digits is shown by its bit length
+                if abs(value) >= 10**_MAX_SHOWN_CHARS:
+                    value = f"of {value.bit_length()} bits"
                 raise ValueError(
                     f"value {value} does not fit register {_shown(reg.name, str)} ({reg.size} bits)"
                 )
@@ -103,7 +106,7 @@ def pack_state(layout: RegisterLayout, values: dict[str, int]) -> list[int]:
 
 def _bits_value(bits) -> int:
     """The integer whose binary digits, least significant first, are `bits`."""
-    return int(bytes(bits)[::-1].translate(_DIGITS), 2)
+    return int(bytearray(bits)[::-1].translate(_DIGITS), 2)
 
 
 def register_value(layout: RegisterLayout, state: list[int], name: str) -> int:

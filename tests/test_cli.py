@@ -159,6 +159,36 @@ def test_sim_echoes_a_long_register_name_by_length(tmp_path, capsys):
     assert capsys.readouterr() == ("", err)
 
 
+@pytest.mark.parametrize(
+    "assignment, err",
+    [
+        ("R=" + "9" * 130_000, "error: value of 431851 bits does not fit register R (2 bits)\n"),
+        ("R=" + "x" * 130_000,
+         "error: the value of register R must be an integer, got of 130000 characters\n"),
+        ("N" * 130_000 + "=x",
+         "error: the value of register of 130000 characters must be an integer, got 'x'\n"),
+        ("N" * 130_000,
+         "error: input assignment must look like NAME=VALUE, got of 130000 characters\n"),
+        # up to 32 characters or digits, the same bytes as before they were bounded
+        ("R=" + "9" * 32, f"error: value {'9' * 32} does not fit register R (2 bits)\n"),
+        ("R=-" + "9" * 32, f"error: value -{'9' * 32} does not fit register R (2 bits)\n"),
+        ("R=1" + "0" * 32, "error: value of 107 bits does not fit register R (2 bits)\n"),
+        ("R=" + "x" * 32, f"error: the value of register R must be an integer, got '{'x' * 32}'\n"),
+        ("N" * 32 + "=x",
+         f"error: the value of register {'N' * 32} must be an integer, got 'x'\n"),
+        ("N" * 32, f"error: input assignment must look like NAME=VALUE, got '{'N' * 32}'\n"),
+    ],
+    ids=["long_value", "long_bad_value", "long_name", "long_assignment", "value_32_digits",
+         "negative_32_digits", "value_33_digits", "bad_value_32", "name_32", "assignment_32"],
+)
+def test_sim_echoes_a_long_value_or_assignment_by_length(assignment, err, tmp_path, capsys):
+    path = tmp_path / "two.rev"
+    path.write_text("rev 1\nqubits 2\nreg R 0 1\nswap 0 1\n")
+    assert main(["sim", str(path), "--set", assignment]) == 2
+    assert capsys.readouterr() == ("", err)
+    assert len(err) < 200
+
+
 def test_sim_bad_value_names_the_register(tmp_path, capsys):
     path = tmp_path / "mul2.rev"
     main(["build", "mul", "--n", "2", "--out", str(path)])
@@ -213,13 +243,25 @@ def _unmarked_tail():
     return circ
 
 
+def _percent_names():
+    # a `%` in a register name must print as itself, not as a template field
+    layout = RegisterLayout([
+        Register("100%", 0, 2), Register("x%d", 2, 1), Register("%s", 3, 2, 1), Register("P", 5, 1, 0)
+    ])
+    circ = Circuit(layout)
+    circ.extend([cnot(0, 2), swap(3, 4), cnot(1, 5), toffoli(0, 1, 3), swap(2, 4)])
+    circ.stage_marks.extend([2, 3])
+    return circ
+
+
 SIM_CIRCUITS = {
-    **{f"mul{n}": functools.partial(synth.build_multiplier, n) for n in (1, 2, 3, 16, 33)},
+    **{f"mul{n}": functools.partial(synth.build_multiplier, n) for n in (1, 2, 3, 4, 5, 16, 33)},
     "addnop5": functools.partial(synth.build_addnop, 5),
     "ror9": functools.partial(synth.build_ror, 9),
     "cror7": functools.partial(synth.build_controlled_ror, 7),
     "unmarked_tail": _unmarked_tail,
     "no_gates": lambda: Circuit(RegisterLayout([Register("R", 0, 2), Register("Z", 2, 1, 1)])),
+    "percent_names": _percent_names,
 }
 
 
@@ -320,6 +362,13 @@ def test_verify_bad_seed_env_names_the_variable(capsys, monkeypatch, mode):
     monkeypatch.setenv("REVMUL_SEED", "zz")
     assert main(["verify", "mul", "--n", "3", *mode]) == 2
     assert capsys.readouterr().err == "error: REVMUL_SEED must be an integer, got 'zz'\n"
+
+
+def test_verify_echoes_a_long_seed_env_by_length(capsys, monkeypatch):
+    monkeypatch.setenv("REVMUL_SEED", "x" * 100_000)
+    assert main(["verify", "mul", "--n", "3", "--random", "2"]) == 2
+    err = "error: REVMUL_SEED must be an integer, got of 100000 characters\n"
+    assert capsys.readouterr().err == err and len(err) < 200
 
 
 def test_verify_ror_exhaustive(capsys):

@@ -616,13 +616,16 @@ BASES["hand"] = write_netlist(hand_circuit(
     marks=(2, 4, 5),
 ))
 
-JUNK = ["x", "-1", "1.5", "+2", "0x1", "99", "4096", "1_0", "٣", "---", "#", "rev", "ccx"]
+JUNK = ["x", "-1", "1.5", "+2", "0x1", "99", "4096", "1_0", "٣", "---", "#", "rev", "ccx",
+        "007", "0" * 33]
 
 
 @st.composite
 def mutated_netlists(draw):
     lines = BASES[draw(st.sampled_from(sorted(BASES)))].splitlines()
     first_gate = next(i for i, line in enumerate(lines) if line.split()[0] in ARITY)
+    width = next(int(line.split()[1]) for line in lines if line.startswith("qubits"))
+    edges = [str(width - 1), str(width)]  # the last line index and the first past it
     for _ in range(draw(st.integers(0, 5))):
         # most mutations hit the gates, one in ten may hit the declarations
         lo = 0 if draw(st.integers(0, 9)) == 0 else min(first_gate, len(lines) - 1)
@@ -630,7 +633,8 @@ def mutated_netlists(draw):
         pick = draw(st.integers(max(lo, 0), len(lines) - 1)) if lines else None
         kind = draw(
             st.sampled_from(
-                ["drop", "duplicate", "swap", "token", "separator", "comment", "blank", "repeat"]
+                ["drop", "duplicate", "swap", "token", "separator", "comment", "blank", "repeat",
+                 "bad_repeat"]
             )
         )
         if kind == "drop" and pick is not None:
@@ -642,7 +646,7 @@ def mutated_netlists(draw):
         elif kind == "token" and pick is not None:
             fields = lines[pick].split() or [""]
             index = draw(st.integers(0, len(fields)))
-            token = draw(st.sampled_from(JUNK) | st.integers(-3, 300).map(str))
+            token = draw(st.sampled_from(JUNK + edges) | st.integers(-3, 300).map(str))
             fields[index:index + draw(st.integers(0, 1))] = [token]
             lines[pick] = " ".join(fields)
         elif kind == "separator":
@@ -654,6 +658,14 @@ def mutated_netlists(draw):
         elif kind == "repeat" and pick is not None:
             note = draw(st.sampled_from(["", " ", " # again", "# tight", "  #  other"]))
             lines.insert(at, lines[pick] + note)
+        elif kind == "bad_repeat" and pick is not None:
+            # a gate line with an index out of range or negative, read twice
+            fields = lines[pick].split() or ["cx"]
+            index = draw(st.integers(1, max(len(fields) - 1, 1)))
+            fields[index:index + 1] = [draw(st.sampled_from([str(width), str(width + 7), "-1", "-0"]))]
+            bad = " ".join(fields)
+            lines.insert(at, bad)
+            lines.insert(draw(st.integers(at, len(lines))), bad)
     return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
 
 
@@ -726,6 +738,35 @@ def test_slices_split_into_the_lines_of_splitlines(text, size):
 def test_parser_matches_reference_on_mutated_netlists_in_small_slices(text, size):
     with mock.patch.object(revmul.io, "_SLICE_CHARS", size):
         assert outcome(parse_netlist, text) == outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize("size", [1, 9, 20, revmul.io._SLICE_CHARS])
+@pytest.mark.parametrize(
+    "gates, tail",
+    [
+        ("swap 0 1\n" * 5, "---\n"),  # the same gate again and again
+        ("swap 0 1\n" * 5, ""),  # unmarked gates need no disjoint lines
+        ("swap 0 1\n" * 5, "---\n---\n"),
+        ("cx 0 1\nswap 1 2\nccx 0 1 2\n", "---\nswap 0 1\n---\n"),
+        ("cx 0 1\n", "---\n" + "swap 1 2\n---\n" * 5),  # every stage within the width
+        ("swap 0 1\n---\n" + "cx 2 0\n" * 3, "---\n"),
+    ],
+)
+def test_a_stage_longer_than_the_width_clashes_across_slices(gates, tail, size):
+    # HEAD declares 3 lines: past 3 entries, the stage's list must repeat a line,
+    # and a slice that ends there drops the list and keeps the clash for `---`
+    text = HEAD + gates + tail
+    with mock.patch.object(revmul.io, "_SLICE_CHARS", size):
+        assert outcome(parse_netlist, text) == outcome(reference_parse, text)
+
+
+def test_a_separator_free_netlist_parses_in_bounded_memory():
+    # the gate list belongs to the circuit; the stage's list of lines must
+    # not grow with it (16 B per two-line gate if it were never dropped)
+    gates = 100_000
+    growth = (_parse_transient_bytes(HEAD + "swap 0 1\n" * 2 * gates)
+              - _parse_transient_bytes(HEAD + "swap 0 1\n" * gates))
+    assert growth < 2 * gates
 
 
 @settings(max_examples=250, deadline=None)

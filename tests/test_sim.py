@@ -422,6 +422,21 @@ def test_pack_state_echoes_a_long_register_name_by_length():
         assert str(info.value) == message
 
 
+def test_pack_state_echoes_a_value_of_more_than_32_digits_by_bit_length():
+    layout = RegisterLayout([Register("R", 0, 2)])
+    big = 10**32
+    for value, message in [
+        (big - 1, f"value {big - 1} does not fit register R (2 bits)"),
+        (1 - big, f"value {1 - big} does not fit register R (2 bits)"),
+        (big, "value of 107 bits does not fit register R (2 bits)"),
+        (-big, "value of 107 bits does not fit register R (2 bits)"),
+        (7**200_000, f"value of {(7**200_000).bit_length()} bits does not fit register R (2 bits)"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            pack_state(layout, {"R": value})
+        assert str(info.value) == message
+
+
 def test_pack_state_ancilla_default_and_override():
     layout = build_addnop(2).layout
     state = pack_state(layout, {"A": 1, "B": 2})
