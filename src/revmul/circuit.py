@@ -100,10 +100,6 @@ class RegisterLayout:
         """Number of lines that must enter holding a declared constant."""
         return sum(r.size for r in self.registers if r.is_ancilla)
 
-    @property
-    def data_registers(self) -> tuple[Register, ...]:
-        return tuple(r for r in self.registers if not r.is_ancilla)
-
 
 class Circuit:
     """An ordered gate list over a fixed layout, with optional stage marks.
@@ -128,9 +124,6 @@ class Circuit:
 
     def __len__(self):
         return len(self.gates)
-
-    def __iter__(self):
-        return iter(self.gates)
 
     def __eq__(self, other):
         return (

@@ -12,12 +12,13 @@ import argparse
 import functools
 import itertools
 import os
+import re
 import sys
 import time
 from collections import namedtuple
 
 from . import analysis, io as revio, sim, synth
-from .circuit import _shown
+from .circuit import _MAX_SHOWN_CHARS, _shown
 from .metrics import structural_metrics
 
 _Block = namedtuple("_Block", "flag gates build exhaustive_up_to unit verify", defaults=(None,) * 3)
@@ -73,16 +74,26 @@ def _size(args) -> int:
     return value
 
 
+# The longest `--set` value or REVMUL_SEED that `_integer` converts: room for
+# every value of the widest register (MAX_QUBITS bits) in every form int(raw, 0)
+# reads without leading zeros or surrounding spaces, the longest being binary
+# with a sign, "0b_" and an underscore between every two digits (131,075
+# characters). `main` lifts Python's digit limit, so int() of a longer decimal
+# value could take minutes; it is refused by its length first.
+_MAX_INTEGER_CHARS = len("+0b_") + 2 * revio.MAX_QUBITS - 1
+
+
 def _integer(raw: str, source: str) -> int:
     """`raw` as a Python integer literal; a bad one names where it came from."""
+    if len(raw) > _MAX_INTEGER_CHARS:
+        raise ValueError(
+            f"{source} must be an integer of at most {_MAX_INTEGER_CHARS} characters, "
+            f"got {_shown(raw)}"
+        )
     try:
         return int(raw, 0)
     except ValueError:
         raise ValueError(f"{source} must be an integer, got {_shown(raw)}") from None
-
-
-def _default_seed() -> int:
-    return _integer(os.environ.get("REVMUL_SEED", "0"), "REVMUL_SEED")
 
 
 def _state_renderer(layout, head=""):
@@ -160,7 +171,9 @@ def cmd_verify(args) -> int:
             f"--random {count} on a {gates}-gate circuit exceeds the largest exhaustive sweep: "
             f"at most {MAX_RANDOM_CASES} cases and {MAX_RANDOM_WORK} cases x gates"
         )
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = args.seed
+    if seed is None:
+        seed = _integer(os.environ.get("REVMUL_SEED", "0"), "REVMUL_SEED")
     start = time.perf_counter()
     report = block.verify(size, mode=mode, count=count, seed=seed)
     # Timing goes to stderr so that stdout, and so the JSON, stays byte-stable.
@@ -203,8 +216,27 @@ def cmd_compare(args) -> int:
     return 1 if flags else 0
 
 
+# A value that a usage error echoes: quoted as repr() quotes it, or bare; and
+# an escape in a quoted one, which stands for one character of the value
+_ECHOED = re.compile(r"""(['"])((?:\\.|(?!\1)[^\\])*)\1|\S+""")
+_ESCAPE = re.compile(r"\\(?:x..|u....|U........|.)")
+
+
+def _bounded(echo: re.Match) -> str:
+    value = echo[0] if echo[2] is None else _ESCAPE.sub("?", echo[2])
+    return echo[0] if len(value) <= _MAX_SHOWN_CHARS else _shown(value)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors, and so its subparsers' (which are
+    of its class), echo a value longer than _MAX_SHOWN_CHARS by its length."""
+
+    def error(self, message):
+        super().error(_ECHOED.sub(_bounded, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="revmul",
         description="Build, simulate and verify garbage-free reversible multiplier circuits.",
     )
@@ -265,7 +297,10 @@ def main(argv=None) -> int:
         # looked up by name on each call, so a rebound `cmd_*` is the one that runs
         return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        text = str(exc)
+        if isinstance(exc, OSError) and exc.filename is not None:  # echoed whole by str(exc)
+            text = f"[Errno {exc.errno}] {exc.strerror}: {_shown(exc.filename)}"
+        print(f"error: {text}", file=sys.stderr)
         return 2
     except MemoryError:
         pass  # reported below, once leaving the handler has freed the command's frames

@@ -15,16 +15,19 @@ The .rev format is line oriented with `#` comments:
 Registers must cover every line exactly once (bit 0 of a register is its LSB).
 A width above MAX_QUBITS (65,536) is refused, so no netlist can make the
 simulator allocate a state of absurd size; the largest multiplier the
-comparison tables describe (n=1024) has 4,097 lines. Every gate line is
-range-checked against that width, and gate line MAX_GATES + 1 (2^20 + 1) is
-refused, so no netlist can make the parser hold an unbounded gate list; the
-largest multiplier that fits is n = 418. An integer token longer than
-_MAX_INT_CHARS (32) characters is refused before it is converted, so no
-token can make int() run for minutes once Python's digit limit is lifted,
-and an error message names a longer token or register name by its length
-alone (`circuit._shown`).
+comparison tables describe (n=1024) has 4,097 lines. Register MAX_QUBITS + 1
+is refused at its own line, so the register table is bounded too. Every gate
+line is range-checked against that width, and gate line MAX_GATES + 1
+(2^20 + 1) is refused, so no netlist can make the parser hold an unbounded
+gate list; the largest multiplier that fits is n = 418. An integer token
+longer than _MAX_INT_CHARS (32) characters is refused before it is
+converted, so no token can make int() run for minutes once Python's digit
+limit is lifted, and an error message names a longer token or register name
+by its length alone (`circuit._shown`).
 The writer emits a canonical form: writing, parsing and writing again is byte
-identical.
+identical up to MAX_QUBITS lines. The writer itself has no width limit, and
+`cli build` makes blocks of up to MAX_GATES gates: a rotate from width 65,537
+(65,536 controlled) or an ADD/NOP from n = 32,767 is written but not read back.
 """
 
 import dataclasses
@@ -113,17 +116,31 @@ def _slices(text: str):
         start = stop
 
 
+def _declared(width, registers: dict[str, Register], lineno: int) -> Circuit:
+    """The gateless circuit declared, its width and layout checked at line `lineno`."""
+    if width is None:
+        raise NetlistError("missing qubits declaration", lineno)
+    try:
+        layout = RegisterLayout(registers.values())
+    except ValueError as exc:
+        raise NetlistError(str(exc), lineno) from None
+    if layout.width != width:
+        raise NetlistError(f"registers cover {layout.width} lines, qubits declares {width}", lineno)
+    return Circuit(layout)
+
+
 def _declarations(pieces) -> tuple[Circuit, int, list[str]]:
     """Read the version header and the `qubits`, `reg` and `anc` lines off
     `pieces`, an iterator of lists of lines. Return the gateless circuit they
     declare, the count of lines before the first line after them, and that
     line with the rest of its list ([] at the end of the text). The layout is
-    checked at that line, or at the last declaration if the text ends first."""
+    checked at that line, or at the last declaration if the text ends first.
+    Register MAX_QUBITS + 1 is refused at its own line: no layout of at most
+    MAX_QUBITS lines holds more registers."""
     lineno = 0
     last = None  # the last line with fields; None until the version header
     width = None
     registers: dict[str, Register] = {}  # by name, in file order
-    rest = []
     for piece in pieces:
         for at, raw in enumerate(piece):
             lineno += 1
@@ -147,6 +164,11 @@ def _declarations(pieces) -> tuple[Circuit, int, list[str]]:
                 if width > MAX_QUBITS:
                     raise NetlistError(f"width {width} exceeds the limit of {MAX_QUBITS} lines", lineno)
             elif head == "reg" or head == "anc":
+                if len(registers) == MAX_QUBITS:
+                    raise NetlistError(
+                        f"register {MAX_QUBITS + 1} exceeds the limit of {MAX_QUBITS} registers",
+                        lineno,
+                    )
                 if len(fields) != (4 if head == "reg" else 5):
                     raise NetlistError(f"malformed {head} declaration", lineno)
                 name = fields[1]
@@ -162,24 +184,11 @@ def _declarations(pieces) -> tuple[Circuit, int, list[str]]:
                 except ValueError as exc:
                     raise NetlistError(str(exc), lineno) from None
             else:
-                rest = piece[at:]
-                break
+                return _declared(width, registers, lineno), lineno - 1, piece[at:]
             last = lineno
-        if rest:
-            break
-    else:
-        if last is None:
-            raise NetlistError("expected version header 'rev 1'")
-        lineno = last
-    if width is None:
-        raise NetlistError("missing qubits declaration", lineno)
-    try:
-        layout = RegisterLayout(registers.values())
-    except ValueError as exc:
-        raise NetlistError(str(exc), lineno) from None
-    if layout.width != width:
-        raise NetlistError(f"registers cover {layout.width} lines, qubits declares {width}", lineno)
-    return Circuit(layout), lineno - 1 if rest else lineno, rest
+    if last is None:
+        raise NetlistError("expected version header 'rev 1'")
+    return _declared(width, registers, last), last, []
 
 
 def parse_netlist(text: str) -> Circuit:

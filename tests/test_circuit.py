@@ -91,6 +91,7 @@ def test_marked_stages():
     circ.append(swap(1, 2))
     assert circ.stage_count == 4
     assert [len(s) for s in circ.stages()] == [1, 2, 1, 1]
+    assert repr(circ) == "Circuit(width=6, gates=5, stages=4)"
 
 
 def test_empty_stage_rejected():

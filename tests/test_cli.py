@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import os
@@ -5,13 +6,14 @@ import random
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import revmul
-from revmul import cli, io as revio, sim, synth
+from revmul import analysis, cli, io as revio, sim, synth
 from revmul.circuit import Circuit, Register, RegisterLayout
 from revmul.cli import MAX_GATES, main
 from revmul.gates import cnot, swap, toffoli
@@ -189,6 +191,29 @@ def test_sim_echoes_a_long_value_or_assignment_by_length(assignment, err, tmp_pa
     assert len(err) < 200
 
 
+def test_sim_reads_values_up_to_the_longest_form_of_the_widest_register(tmp_path, capsys):
+    width = revio.MAX_QUBITS
+    path = tmp_path / "wide.rev"
+    path.write_text(f"rev 1\nqubits {width}\nreg R 0 {width - 1}\n")
+    longest = "+0b_" + "_".join("1" * width)
+    assert len(longest) == cli._MAX_INTEGER_CHARS == 131_075
+    assert main(["sim", str(path), f"--set=R={longest}"]) == 0
+    printed = capsys.readouterr()
+    with no_digit_limit():
+        assert printed == (f"R={(1 << width) - 1}\n", "")
+    # one character more, or 4,000,000 digits that int() would take minutes
+    # to read once `main` lifts the digit limit, is refused by its length
+    for value, length in ((longest + "1", 131_076), ("9" * 4_000_000, 4_000_000)):
+        started = time.perf_counter()
+        assert main(["sim", str(path), "--set", f"R={value}"]) == 2
+        assert time.perf_counter() - started < 1
+        err = (
+            "error: the value of register R must be an integer of at most 131075 characters, "
+            f"got of {length} characters\n"
+        )
+        assert capsys.readouterr() == ("", err) and len(err) < 200
+
+
 def test_sim_bad_value_names_the_register(tmp_path, capsys):
     path = tmp_path / "mul2.rev"
     main(["build", "mul", "--n", "2", "--out", str(path)])
@@ -272,7 +297,8 @@ def test_sim_stdout_matches_the_reference_renderer(name, trace, tmp_path, capsys
     path = tmp_path / f"{name}.rev"
     path.write_text(revio.write_netlist(circuit))
     rng = random.Random(name)
-    values = {r.name: rng.getrandbits(r.size) for r in circuit.layout.data_registers}
+    values = {r.name: rng.getrandbits(r.size) for r in circuit.layout.registers
+              if not r.is_ancilla}
     argv = ["sim", str(path)] + [f"--set={k}={v}" for k, v in values.items()]
     assert main(argv + (["--trace"] if trace else [])) == 0
     printed = capsys.readouterr().out
@@ -364,10 +390,18 @@ def test_verify_bad_seed_env_names_the_variable(capsys, monkeypatch, mode):
     assert capsys.readouterr().err == "error: REVMUL_SEED must be an integer, got 'zz'\n"
 
 
-def test_verify_echoes_a_long_seed_env_by_length(capsys, monkeypatch):
-    monkeypatch.setenv("REVMUL_SEED", "x" * 100_000)
+@pytest.mark.parametrize(
+    "seed, err",
+    [
+        ("x" * 100_000, "error: REVMUL_SEED must be an integer, got of 100000 characters\n"),
+        ("9" * 4_000_000, "error: REVMUL_SEED must be an integer of at most 131075 characters, "
+                          "got of 4000000 characters\n"),
+    ],
+    ids=["bad", "long"],
+)
+def test_verify_echoes_a_long_seed_env_by_length(seed, err, capsys, monkeypatch):
+    monkeypatch.setenv("REVMUL_SEED", seed)
     assert main(["verify", "mul", "--n", "3", "--random", "2"]) == 2
-    err = "error: REVMUL_SEED must be an integer, got of 100000 characters\n"
     assert capsys.readouterr().err == err and len(err) < 200
 
 
@@ -385,6 +419,11 @@ def test_verify_default_modes(capsys):
 
 def test_verify_exhaustive_cap_is_usage_error(capsys):
     assert main(["verify", "mul", "--n", "16", "--exhaustive"]) == 2
+
+
+def test_verify_takes_one_sweep_mode(capsys):
+    assert main(["verify", "mul", "--n", "2", "--exhaustive", "--random", "3"]) == 2
+    assert capsys.readouterr() == ("", "error: choose one of --exhaustive / --random\n")
 
 
 @pytest.mark.parametrize("sweep", [[], ["--exhaustive"], ["--random", "5"]])
@@ -448,10 +487,131 @@ def test_compare_off_ladder_rejected(capsys):
     assert main(["compare", "--max-n", "48"]) == 2
 
 
+def test_compare_reports_a_deviation_from_the_published_table(monkeypatch, capsys):
+    monkeypatch.setitem(analysis.REPORTED_IMP_KOTIYAL, 4, 60.84)
+    assert main(["compare", "--max-n", "4"]) == 1
+    printed = capsys.readouterr()
+    assert "| 4 | 9 | 23 | 28 | 60.87 | 67.86 |" in printed.out
+    assert printed.err == (
+        "deviates from the published table: n=4 imp_kotiyal: recomputed 60.87 vs reported 60.84\n"
+    )
+
+
 def test_compare_writes_file(tmp_path, capsys):
     out = tmp_path / "t.csv"
     assert main(["compare", "--max-n", "8", "--format", "csv", "--out", str(out)]) == 0
     assert out.read_text().splitlines()[0] == "n,ours,kotiyal,zhou,imp_kotiyal,imp_zhou"
+
+
+# A valid command line for each subcommand, positionals first. The test below
+# gives each argument of each subcommand in turn a 100,000-character value.
+VALID_COMMANDS = {
+    "build": ["build", "mul", "--n", "1", "--out", "{dir}/out.rev"],
+    "sim": ["sim", "{dir}/in.rev"],
+    "verify": ["verify", "mul", "--n", "1"],
+    "compare": ["compare", "--max-n", "4"],
+}
+
+
+def long_value_commands():
+    """A command line for each action of each `build_parser()` subcommand,
+    with that action's value 100,000 characters long (digits for an int) and
+    the rest of the line valid; and the subcommand itself, and one unknown
+    argument, 100,000 characters long."""
+    [commands] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(commands.choices) == sorted(VALID_COMMANDS)
+    cases = [pytest.param(["x" * 100_000], id="command"),
+             pytest.param(VALID_COMMANDS["build"] + ["x" * 100_000], id="unrecognized")]
+    for name, parser in commands.choices.items():
+        positionals = [action for action in parser._actions if not action.option_strings]
+        for action in parser._actions:
+            argv = list(VALID_COMMANDS[name])
+            value = ("9" if action.type is int else "x") * 100_000
+            if action in positionals:
+                argv[1 + positionals.index(action)] = value
+            elif action.nargs == 0:  # a flag: --flag=value
+                argv.append(f"{action.option_strings[-1]}={value}")
+            else:
+                argv += [action.option_strings[-1], value]
+            cases.append(pytest.param(argv, id=f"{name} {action.dest}"))
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(VALID_COMMANDS))
+def test_valid_commands_run(name, tmp_path, capsys):
+    (tmp_path / "in.rev").write_text("rev 1\nqubits 1\nanc Z 0 0 0\n")
+    assert main([arg.format(dir=tmp_path) for arg in VALID_COMMANDS[name]]) == 0
+
+
+@pytest.mark.parametrize("argv", long_value_commands())
+def test_every_argument_echoes_a_long_value_by_its_length(argv, tmp_path, capsys):
+    (tmp_path / "in.rev").write_text("rev 1\nqubits 1\nanc Z 0 0 0\n")
+    try:
+        code = main([arg.format(dir=tmp_path) for arg in argv])
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    printed = capsys.readouterr()
+    assert code == 2 and printed.out == ""
+    assert len(printed.err.encode()) < 400, printed.err[:400]
+    assert " of 100000 characters" in printed.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["build", "{}"], ["build", "mul", "--n", "{}"], ["sim", "f.rev", "--trace={}"],
+     ["verify", "mul", "--n", "1", "{}"], ["{}"]],
+    ids=["choice", "int", "flag", "unrecognized", "command"],
+)
+@pytest.mark.parametrize(
+    "value", ["x" * 32, "a'b\"\n\t\x00é" * 4, "é" * 32, "x" * 33], ids=["x", "escaped", "é", "33"]
+)
+def test_usage_error_echoes_a_value_of_32_characters_whole(argv, value, monkeypatch, capsys):
+    argv = [arg.format(value) for arg in argv]
+    printed = []
+    for error in (cli._Parser.error, argparse.ArgumentParser.error):
+        monkeypatch.setattr(cli._Parser, "error", error)
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        printed.append(capsys.readouterr())
+    bounded, whole = printed
+    if len(value) <= 32:
+        assert bounded == whole
+    else:
+        assert bounded.err == whole.err.replace(repr(value), "of 33 characters").replace(
+            value, "of 33 characters"
+        )
+
+
+@pytest.mark.parametrize(
+    "name, err",
+    [
+        ("missing.rev", "error: [Errno 2] No such file or directory: 'missing.rev'\n"),
+        ("m" * 33, "error: [Errno 2] No such file or directory: of 33 characters\n"),
+    ],
+    ids=["short", "long"],
+)
+def test_sim_names_a_missing_file(name, err, monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sim", name]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+# `build` writes blocks of up to MAX_GATES gates, but `sim` reads only up to
+# MAX_QUBITS lines: each block below is as wide as a netlist can be, and one
+# size more is written but not read back.
+@pytest.mark.parametrize(
+    "block, flag, size", [("ror", "width", 65536), ("cror", "width", 65535), ("addnop", "n", 32766)]
+)
+def test_build_writes_netlists_wider_than_sim_reads(block, flag, size, tmp_path, capsys):
+    path = tmp_path / "block.rev"
+    assert main(["build", block, f"--{flag}", str(size), "--out", str(path)]) == 0
+    text = path.read_text()
+    assert revio.write_netlist(revio.parse_netlist(text)) == text
+    assert main(["build", block, f"--{flag}", str(size + 1), "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["sim", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: line 2: width 65537 exceeds the limit of 65536 lines\n")
 
 
 def test_unknown_subcommand_exits_two():

@@ -554,6 +554,12 @@ class _ReferenceParser:
                     lineno,
                 )
             return
+        if len(self.registers) == revmul.io.MAX_QUBITS:
+            raise NetlistError(
+                f"register {revmul.io.MAX_QUBITS + 1} exceeds the limit of "
+                f"{revmul.io.MAX_QUBITS} registers",
+                lineno,
+            )
         want = 4 if head == "reg" else 5
         if len(fields) != want:
             raise NetlistError(f"malformed {head} declaration", lineno)
@@ -888,13 +894,32 @@ def test_errors_after_the_first_slice_are_pinned(lineno, line, message):
 
 def test_many_one_line_registers_parse_in_linear_time():
     # the duplicate-name check once scanned every earlier register, so these
-    # 65,536 registers took about 2 minutes; a name lookup takes under 1 s
+    # 65,535 registers took about 2 minutes; a name lookup takes under 1 s
     limit = revmul.io.MAX_QUBITS
-    regs = "".join(f"reg R{i} {i} {i}\n" for i in range(limit))
+    regs = "".join(f"reg R{i} {i} {i}\n" for i in range(limit - 1))
     started = time.perf_counter()
     message = err(f"rev 1\nqubits {limit}\n{regs}reg R5 0 0\n")
     assert time.perf_counter() - started < 10
-    assert message == "line 65539: duplicate register name 'R5'"
+    assert message == "line 65538: duplicate register name 'R5'"
+
+
+def test_register_cap(monkeypatch):
+    # no layout of at most MAX_QUBITS lines holds more registers, so the next
+    # one is refused at its own line, before its fields are read
+    limit = revmul.io.MAX_QUBITS
+    regs = "".join(f"anc Z{i} 0 0 0\n" for i in range(limit))
+    for extra in ("anc Z 0 0 0", "reg Z0", "anc " + "N" * 100 + " x y z"):
+        assert err(f"rev 1\nqubits {limit}\n{regs}{extra}\n") == (
+            "line 65539: register 65537 exceeds the limit of 65536 registers"
+        )
+    regs = "".join(f"reg R{i} {i} {i}\n" for i in range(limit))
+    assert len(parse_netlist(f"rev 1\nqubits {limit}\n{regs}").layout.registers) == limit
+    # the reference parser scans every register for a duplicate name, so it
+    # is compared at a smaller limit
+    monkeypatch.setattr(revmul.io, "MAX_QUBITS", 3)
+    text = "rev 1\nqubits 3\nreg A 0 0\nreg B 1 1\nreg C 2 2\nreg A 0 0\n"
+    message = "line 6: register 4 exceeds the limit of 3 registers"
+    assert outcome(parse_netlist, text) == outcome(reference_parse, text) == ("error", message, 6)
 
 
 def test_gate_line_cap(monkeypatch):

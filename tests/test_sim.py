@@ -201,6 +201,8 @@ def test_multiply_oracle_annihilator_and_range():
         oracle_multiply(2, 4, 1)
     with pytest.raises(ValueError, match="out of range"):
         oracle_multiply(2, 1, -1)
+    with pytest.raises(ValueError, match=r"^operand width must be >= 1, got 0$"):
+        oracle_multiply(0, 0, 0)
 
 
 def test_gate_level_equals_oracle():

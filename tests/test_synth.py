@@ -142,9 +142,10 @@ def test_ror_on_every_single_one_state(width):
         assert run(circ, state) == expected
 
 
-def test_ror_rejects_tiny_width():
-    with pytest.raises(ValueError):
-        build_ror(1)
+@pytest.mark.parametrize("build", [build_ror, build_controlled_ror])
+def test_ror_rejects_tiny_width(build):
+    with pytest.raises(ValueError, match=r"^rotate width must be >= 2, got 1$"):
+        build(1)
 
 
 # ---------------------------------------------------------------- controlled rotate
