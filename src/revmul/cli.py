@@ -96,6 +96,21 @@ def _integer(raw: str, source: str) -> int:
         raise ValueError(f"{source} must be an integer, got {_shown(raw)}") from None
 
 
+def _flag_int(raw: str) -> int:
+    """A size or count flag's value, as `type=int` reads it, refused when it
+    has more than _MAX_SHOWN_CHARS digits: no command accepts such a size or
+    count, and the messages that would refuse it later echo it whole."""
+    try:
+        value = int(raw)
+    except ValueError:  # argparse's own wording; `_Parser.error` bounds the echo
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if abs(value) >= 10**_MAX_SHOWN_CHARS:
+        raise argparse.ArgumentTypeError(
+            f"must have at most {_MAX_SHOWN_CHARS} digits, got {_shown(raw)}"
+        )
+    return value
+
+
 def _state_renderer(layout, head=""):
     """A function `render(state, *lead)` that renders a one-lane state as
     `head % lead` followed by "NAME=value ...", the result register first and
@@ -229,10 +244,17 @@ def _bounded(echo: re.Match) -> str:
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors, and so its subparsers' (which are
-    of its class), echo a value longer than _MAX_SHOWN_CHARS by its length."""
+    of its class), echo a value longer than _MAX_SHOWN_CHARS by its length.
+    The unrecognized arguments, which argparse joins with spaces, are one
+    value."""
 
     def error(self, message):
-        super().error(_ECHOED.sub(_bounded, message))
+        head, unrecognized, rest = message.partition("unrecognized arguments: ")
+        if unrecognized and not head:
+            message = unrecognized + _shown(rest, str)
+        else:
+            message = _ECHOED.sub(_bounded, message)
+        super().error(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_size_flags(p):
         for flag, what in (("n", "operand width"), ("width", "register width")):
             names = ", ".join(name for name, block in _BLOCKS.items() if block.flag == flag)
-            p.add_argument(f"--{flag}", type=int, help=f"{what} ({names})")
+            p.add_argument(f"--{flag}", type=_flag_int, help=f"{what} ({names})")
 
     p = sub.add_parser("build", help="generate a circuit and write its netlist")
     p.add_argument("block", choices=sorted(_BLOCKS))
@@ -267,12 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("block", choices=[name for name, block in _BLOCKS.items() if block.verify])
     add_size_flags(p)
     p.add_argument("--exhaustive", action="store_true", help="sweep every input")
-    p.add_argument("--random", type=int, metavar="COUNT", help="seeded random sweep")
+    p.add_argument("--random", type=_flag_int, metavar="COUNT", help="seeded random sweep")
     p.add_argument("--seed", type=int, help="seed for --random (default $REVMUL_SEED or 0)")
     p.add_argument("--json", action="store_true", help="print the report as JSON")
 
     p = sub.add_parser("compare", help="regenerate the ancilla/garbage comparison tables")
-    p.add_argument("--max-n", type=int, default=1024, dest="max_n")
+    p.add_argument("--max-n", type=_flag_int, default=1024, dest="max_n")
     p.add_argument("--which", choices=("ancilla", "garbage"), default="ancilla")
     p.add_argument("--format", choices=("md", "csv", "json"), default="md")
     p.add_argument("--out", help="output path (default stdout)")

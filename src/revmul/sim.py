@@ -17,12 +17,16 @@ bit-sliced too: each verifier computes the wanted exit state of a whole batch
 on the same lane ints (for the multiplier, a schoolbook product cross-checked
 against `_lane_add_and_rotate`, the add-and-rotate recurrence whose one-lane
 case is `oracle_multiply`), so a sweep does no Python work per case, and an
-exhaustive sweep does not even build its cases one by one.
+exhaustive sweep does not even build its cases one by one. Nor does a seeded
+multiplier sweep at n <= 31 on CPython: `_word_pair_batches` reads its pairs
+from the generator's 32-bit words in bulk, the pairs `randrange` would draw.
 """
 
 import itertools
 import operator
 import random
+import sys
+from array import array
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -37,6 +41,11 @@ BATCH_BITS = 1 << 22
 EXHAUSTIVE_MULTIPLIER_LIMIT = 13  # 2^26 pairs, about 3 s; beyond that use randomized mode
 EXHAUSTIVE_ROTATE_LIMIT = 26  # 2^27 states for cror, about 0.5 s; beyond that use randomized mode
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # bit values -> binary digits
+# The widest operands whose seeded pairs `_word_pair_batches` draws: on CPython,
+# randrange(2^n) for n <= 31 takes one 32-bit Mersenne Twister word per try,
+# and an array("I") item holds one word; elsewhere every width draws per pair.
+_WORD_DRAW_LIMIT = 31 if sys.implementation.name == "cpython" and array("I").itemsize == 4 else 0
+_KEEP = b"\1" * 128 + bytes(128)  # a word's top byte -> 1 where its bit 31 is clear
 
 
 def run(circuit: Circuit, state: list[int], trace=None) -> list[int]:
@@ -236,15 +245,45 @@ def _random_batches(indices, bits: int, lanes: int):
         yield _transpose(batch, bits), len(batch)
 
 
+def _word_pair_batches(rng: random.Random, count: int, n: int, lanes: int):
+    """Index-bit lanes of `count` pairs (a, b), case a * 2^n + b, whose
+    operands are drawn as `rng.randrange(2^n)` draws them, a first, for
+    n <= _WORD_DRAW_LIMIT; `lanes` pairs at a time, with the number of pairs
+    in each. No int is made per pair.
+
+    randrange(2^n) is getrandbits(n+1), drawn again while its top bit is set,
+    and getrandbits(n+1) is one Mersenne Twister word shifted right by 31-n.
+    So its values are the words whose bit 31 is clear, shifted right by 31-n,
+    and getrandbits(32m) holds the next m words, the first lowest. Pair p
+    takes kept words 2p (a) and 2p+1 (b); kept words a batch leaves carry
+    into the next. In the binary text of a batch's kept words, most
+    significant first, each pair is 64 characters, b's word then a's, the
+    last pair first; bit i of an operand is character n - i of its word's
+    32. So each index bit is one stride slice of the text.
+    """
+    kept = array("I")
+    offsets = [*range(n, 0, -1), *range(32 + n, 32, -1)]  # index bits 0..n-1 (b), then a's
+    for done in range(0, count, lanes):
+        size = min(lanes, count - done)
+        while len(kept) < 2 * size:
+            need = 2 * size - len(kept)  # about half the words are kept
+            raw = rng.getrandbits(64 * need).to_bytes(8 * need, "little")
+            kept.extend(itertools.compress(array("I", raw), raw[3::4].translate(_KEEP)))
+        text = format(int.from_bytes(kept[: 2 * size], "little"), f"0{64 * size}b")
+        del kept[: 2 * size]
+        yield [int(text[offset::64], 2) for offset in offsets], size
+
+
 def _sweep(mode, count, seed, too_big, build, drive, draw, want, explain) -> VerifyReport:
     """Check the arguments, `build()` the circuit, then sweep every case
-    index the lines of `drive` span, or `count` seeded draws of `draw(rng)`,
-    a list of case indices. Case k drives line j with bit drive[j] of k, or 0
-    where drive[j] is None: the index-bit lanes of a batch map to its
-    lane-packed entry state once.
+    index the lines of `drive` span, or the seeded batches that
+    `draw(rng, bits, lanes)` yields: the `bits` index-bit lanes of at most
+    `lanes` cases and their count, as `_random_batches` yields them. Case k
+    drives line j with bit drive[j] of k, or 0 where drive[j] is None: the
+    index-bit lanes of a batch map to its lane-packed entry state once.
 
-    Each batch runs through one `run` call, with the largest power of two of
-    lanes that is at most BATCH_BITS // width, and at least 1 lane.
+    Each batch runs through one `run` call. `lanes` is the largest power of
+    two that is at most BATCH_BITS // width, and at least 1.
     `want(state)` takes a batch's lane-packed entry state and returns the
     lane-packed exit state it must reach, plus an int whose set bits are
     lanes the references disagree on; those lanes and every lane that ends
@@ -266,8 +305,7 @@ def _sweep(mode, count, seed, too_big, build, drive, draw, want, explain) -> Ver
     if mode == "exhaustive":
         batches = _exhaustive_batches(bits, lanes)
     else:
-        rng = random.Random(seed)
-        batches = _random_batches((i for _ in range(count) for i in draw(rng)), bits, lanes)
+        batches = draw(random.Random(seed), bits, lanes)
     counterexamples = []
     checked = 0
     for index, size in batches:
@@ -304,7 +342,9 @@ def verify_multiplier(
     same pairs against the bit-sliced add-and-rotate recurrence of
     `oracle_multiply`; a pair the two disagree on fails. Exhaustive mode
     sweeps all 2^(2n) pairs and is limited to n <= EXHAUSTIVE_MULTIPLIER_LIMIT
-    (13); random mode draws `count` seeded pairs. Pass `circuit` to point the
+    (13); random mode checks the `count` pairs that two `randrange(2^n)` calls
+    per pair draw from `random.Random(seed)`, taken from its words in bulk for
+    n <= _WORD_DRAW_LIMIT (31 on CPython). Pass `circuit` to point the
     harness at a replacement netlist (for example a deliberately damaged one)
     over the n-bit multiplier's layout.
     """
@@ -326,6 +366,14 @@ def verify_multiplier(
         )
         return {"a": a, "b": b, "expected": expected, "got": got}
 
+    def draw(rng, bits, lanes):
+        if n <= _WORD_DRAW_LIMIT:
+            # 64 characters of word text per pair: 16,384 pairs (1 MiB of text)
+            # at the default budget keep a batch within the per-pair path's peak
+            return _word_pair_batches(rng, count, n, max(1, BATCH_BITS // 256))
+        pairs = (rng.randrange(1 << n) << n | rng.randrange(1 << n) for _ in range(count))
+        return _random_batches(pairs, bits, lanes)
+
     limit = EXHAUSTIVE_MULTIPLIER_LIMIT
     return _sweep(
         mode,
@@ -335,7 +383,7 @@ def verify_multiplier(
         lambda: build_multiplier(n) if circuit is None else circuit,
         # pair (a, b) is case a * 2^n + b: B takes the low index bits
         [*range(n, 2 * n), *range(n), *[None] * (2 * n + 1)],
-        lambda rng: [rng.randrange(1 << n) << n | rng.randrange(1 << n)],
+        draw,
         want,
         explain,
     )
@@ -367,9 +415,10 @@ def verify_rotate(
         control = entry[width] if controlled else None
         return {"input": value, "control": control, "expected": expected, "got": out}
 
-    def draw(rng):
-        value = rng.getrandbits(width)
-        return [value << 1, value << 1 | 1] if controlled else [value]
+    def draw(rng, bits, lanes):
+        values = (rng.getrandbits(width) for _ in range(count))
+        cases = (value << 1 | c for value in values for c in (0, 1)) if controlled else values
+        return _random_batches(cases, bits, lanes)
 
     limit = EXHAUSTIVE_ROTATE_LIMIT
     return _sweep(

@@ -526,7 +526,7 @@ def long_value_commands():
         positionals = [action for action in parser._actions if not action.option_strings]
         for action in parser._actions:
             argv = list(VALID_COMMANDS[name])
-            value = ("9" if action.type is int else "x") * 100_000
+            value = ("9" if action.type in (int, cli._flag_int) else "x") * 100_000
             if action in positionals:
                 argv[1 + positionals.index(action)] = value
             elif action.nargs == 0:  # a flag: --flag=value
@@ -581,6 +581,129 @@ def test_usage_error_echoes_a_value_of_32_characters_whole(argv, value, monkeypa
         assert bounded.err == whole.err.replace(repr(value), "of 33 characters").replace(
             value, "of 33 characters"
         )
+
+
+def exit_code_and_output(argv):
+    """`main(argv)`'s exit code, argparse's usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code
+
+
+def size_and_count_flags():
+    """(subcommand, flag) for every action of `build_parser()` whose type is
+    `cli._flag_int`: the size and count flags, but not --seed."""
+    [commands] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [(name, action.option_strings[-1]) for name, parser in commands.choices.items()
+            for action in parser._actions if action.type is cli._flag_int]
+
+
+def test_size_and_count_flags_are_the_int_flags_but_seed():
+    assert sorted(size_and_count_flags()) == [
+        ("build", "--n"), ("build", "--width"), ("compare", "--max-n"),
+        ("verify", "--n"), ("verify", "--random"), ("verify", "--width"),
+    ]
+
+
+def flag_command(name, flag, value):
+    """A command line of subcommand `name` that gives `flag` the value."""
+    if flag == "--max-n":
+        return ["compare", flag, value]
+    block = "ror" if flag == "--width" else "mul"
+    argv = [name, block, flag, value]
+    return argv + ["--n", "4"] if flag == "--random" else argv
+
+
+@pytest.mark.parametrize("value", ["9" * 4000, "-" + "9" * 4000, "9" * 33, "-1" + "0" * 32])
+@pytest.mark.parametrize("name, flag", size_and_count_flags())
+def test_a_size_or_count_of_33_to_4300_digits_is_refused_by_its_length(name, flag, value, capsys):
+    # argparse reads these while Python's digit limit holds; each command
+    # would have echoed the value whole (12,063 B for `build mul --n`)
+    assert exit_code_and_output(flag_command(name, flag, value)) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert len(printed.err.encode()) < 300, printed.err[:300]
+    assert printed.err.endswith(
+        f"error: argument {flag}: must have at most 32 digits, got of {len(value)} characters\n"
+    )
+
+
+@pytest.mark.parametrize("value", ["9" * 32, "-" + "9" * 32, "0" * 40 + "4"])
+@pytest.mark.parametrize("name, flag", size_and_count_flags())
+def test_a_size_or_count_of_32_digits_reaches_the_command(name, flag, value, monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)  # `build` writes its netlist here
+    code = exit_code_and_output(flag_command(name, flag, value))
+    printed = capsys.readouterr()
+    if value.endswith("4"):  # a valid value, however long its text
+        assert code == 0, printed.err
+    else:  # refused by the command, which echoes it whole
+        assert code == 2 and str(int(value)) in printed.err
+
+
+@pytest.mark.parametrize(
+    "tail", [["a " * 50_000], ["a"] * 50_000, ["a b c d e f g h i j k l m n o p q"]],
+    ids=["one argument of 50,000 words", "50,000 arguments", "33 characters"],
+)
+def test_unrecognized_arguments_are_echoed_as_one_value(tail, capsys):
+    assert exit_code_and_output(["build", "mul", "--n", "2", *tail]) == 2
+    printed = capsys.readouterr()
+    length = len(" ".join(tail))
+    assert printed.err.endswith(f"error: unrecognized arguments: of {length} characters\n")
+    assert len(printed.err.encode()) < 300
+
+
+def adversarial_commands(tmp):
+    """ROADMAP item 13's table: -1, 0 and 2^64 for every size and count flag,
+    a NUL and a non-UTF-8 byte in a netlist, a directory as the netlist, a
+    missing netlist, and an --out in a missing directory."""
+    body = b"rev 1\nqubits 2\nreg R 0 1\ncx 0 1\n"
+    (tmp / "nul.rev").write_bytes(body.replace(b"cx 0 1", b"cx 0\x00 1"))
+    (tmp / "latin1.rev").write_bytes(body.replace(b"cx 0 1", b"cx 0 1 # \xe9"))
+    (tmp / "dir.rev").mkdir()
+    cases = [
+        pytest.param(flag_command(name, flag, value), id=f"{name} {flag} {value}")
+        for name, flag in size_and_count_flags()
+        for value in ("-1", "0", str(1 << 64))
+    ]
+    for argv in (
+        ["sim", "nul.rev", "--set", "R=1"],
+        ["sim", "latin1.rev", "--set", "R=1"],
+        ["sim", "dir.rev"],
+        ["sim", "missing.rev"],
+        ["build", "mul", "--n", "2", "--out", "missing/out.rev"],
+        ["compare", "--out", "missing/out.md"],
+    ):
+        cases.append(pytest.param([str(tmp / arg) if "." in arg else arg for arg in argv], id=" ".join(argv)))
+    return cases
+
+
+def test_every_adversarial_input_exits_two_with_a_short_message(tmp_path, capsys):
+    cases = adversarial_commands(tmp_path)
+    assert len(cases) == 6 * 3 + 6
+    for case in cases:
+        [argv] = case.values
+        assert exit_code_and_output(argv) == 2, case.id
+        printed = capsys.readouterr()
+        assert printed.out == "" and 0 < len(printed.err.encode()) < 300, (case.id, printed.err[:300])
+
+
+def test_a_negative_seed_checks_the_pairs_of_its_absolute_value(monkeypatch, capsys):
+    # CPython seeds random.Random with the absolute value of an int
+    entries = []
+
+    def recording_run(circuit, state, trace=None):
+        entries.append(list(state))
+        return real_run(circuit, state, trace)
+
+    real_run = sim.run
+    monkeypatch.setattr(sim, "run", recording_run)
+    for seed in ("-5", "5"):
+        assert main(["verify", "mul", "--n", "8", "--random", "300", "--seed", seed]) == 0
+        assert capsys.readouterr().out == f"mul n=8: mode=random seed={seed} checked=300 ok\n"
+    negative, positive = entries
+    assert negative == positive
 
 
 @pytest.mark.parametrize(

@@ -722,6 +722,17 @@ def test_damaged_rotate_reports_match_the_per_case_reference(monkeypatch, width,
     assert not report.ok
 
 
+def recording_batches(real, sizes):
+    """`real`, a batch generator, noting the case count of each batch in `sizes`."""
+
+    def batches(*args):
+        for lanes, size in real(*args):
+            sizes.append(size)
+            yield lanes, size
+
+    return batches
+
+
 def test_sweep_batches_stay_within_the_bit_budget(monkeypatch):
     width = 40_000
     sizes = []
@@ -741,26 +752,76 @@ def test_sweep_batches_stay_within_the_bit_budget(monkeypatch):
     assert sizes == [lanes * width] * 3 + [(250 - 3 * lanes) * width]
 
     # a 12-line rotate, exhaustive (4,096 cases) and random (300 cases)
-    def recording(real):
-        def batches(*args):
-            for state, size in real(*args):
-                batch_sizes.append(size)
-                yield state, size
-
-        return batches
-
-    monkeypatch.setattr(sim, "_exhaustive_batches", recording(sim._exhaustive_batches))
-    monkeypatch.setattr(sim, "_random_batches", recording(sim._random_batches))
+    batch_sizes = []
+    monkeypatch.setattr(sim, "_exhaustive_batches", recording_batches(sim._exhaustive_batches, batch_sizes))
+    monkeypatch.setattr(sim, "_random_batches", recording_batches(sim._random_batches, batch_sizes))
     # the default budget (262,144 lanes, more than there are cases), 64 lanes,
     # one bit short of 64 lanes, and budgets of the width and below it
     for budget, lanes in [(1 << 22, 1 << 18), (12 * 64, 64), (12 * 64 - 1, 32), (12, 1), (11, 1), (1, 1)]:
         monkeypatch.setattr(sim, "BATCH_BITS", budget)
-        batch_sizes = []
+        batch_sizes.clear()
         assert verify_rotate(12).ok
         assert batch_sizes == [min(lanes, 4096)] * (4096 // min(lanes, 4096))
-        batch_sizes = []
+        batch_sizes.clear()
         assert verify_rotate(12, mode="random", count=300, seed=1).ok
         assert batch_sizes == [lanes] * (300 // lanes) + [300 % lanes] * (300 % lanes > 0)
+
+
+# ---------------------------------------------------------------- seeded pair draws
+
+def randrange_pairs(n, seed, count):
+    """Case indices a * 2^n + b of `count` pairs, each operand one
+    `randrange(2^n)` call on `random.Random(seed)`, a first."""
+    rng = random.Random(seed)
+    return [rng.randrange(1 << n) << n | rng.randrange(1 << n) for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, -5, 1 << 40])
+@pytest.mark.parametrize("n", range(1, 32))
+def test_word_pair_lanes_equal_transposed_randrange_pairs(n, seed):
+    # CPython's randrange and getrandbits word order: the word path rests on them
+    lanes = 64
+    for count in (1, 100, lanes + 1):
+        pairs = randrange_pairs(n, seed, count)
+        want = [(sim._transpose(pairs[i : i + lanes], 2 * n), len(pairs[i : i + lanes]))
+                for i in range(0, count, lanes)]
+        assert list(sim._word_pair_batches(random.Random(seed), count, n, lanes)) == want
+
+
+@pytest.mark.parametrize("n, pinned", [(1, False), (5, True), (12, True), (31, True)])
+def test_word_path_sweeps_the_randrange_pairs_over_several_batches(monkeypatch, n, pinned):
+    if pinned:
+        _pin_lanes(monkeypatch, 4096, 4 * n + 1)
+    batch = sim.BATCH_BITS // 256  # 16,384 pairs at the default budget
+    count = 2 * batch + 5
+    sizes, entries = [], []
+    monkeypatch.setattr(sim, "_word_pair_batches", recording_batches(sim._word_pair_batches, sizes))
+
+    def recording_run(circuit, state, trace=None):
+        entries.append(state[: 2 * n])  # lines A, then B
+        return real_run(circuit, state, trace)
+
+    real_run = sim.run
+    monkeypatch.setattr(sim, "run", recording_run)
+    report = verify_multiplier(n, mode="random", count=count, seed=7)
+    assert report.ok and report.checked == count
+    assert sizes == [batch, batch, 5]
+    got = [pair for state, size in zip(entries, sizes) for pair in unpack_lanes(state, size)]
+    low = (1 << n) - 1
+    assert got == [case >> n | (case & low) << n for case in randrange_pairs(n, 7, count)]
+
+
+def test_pairs_past_the_word_limit_or_off_cpython_are_drawn_per_pair(monkeypatch):
+    damaged = {n: _drop_last_gate(build_multiplier(n)) for n in (5, 32)}
+    word_path = verify_multiplier(5, mode="random", count=300, seed=9, circuit=damaged[5])
+    assert not word_path.ok
+    monkeypatch.setattr(sim, "_word_pair_batches", None)  # any use fails
+    monkeypatch.setattr(sim, "_WORD_DRAW_LIMIT", 0)  # as on an interpreter other than CPython
+    assert verify_multiplier(5, mode="random", count=300, seed=9, circuit=damaged[5]) == word_path
+    monkeypatch.setattr(sim, "_WORD_DRAW_LIMIT", 31)
+    examples = reference_multiplier_examples(32, damaged[32], "random", 20, seed=9)
+    report = verify_multiplier(32, mode="random", count=20, seed=9, circuit=damaged[32])
+    assert report == reference_report("random", 9, examples)
 
 
 # ---------------------------------------------------------------- register readout
