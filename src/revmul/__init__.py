@@ -17,7 +17,7 @@ from .analysis import (
     render_markdown,
 )
 from .circuit import Circuit, Register, RegisterLayout
-from .gates import CNOT, FREDKIN, SWAP, TOFFOLI, Gate, cnot, fredkin, swap, toffoli
+from .gates import CNOT, FREDKIN, SWAP, TOFFOLI, Gate
 from .io import NetlistError, export_qasm, metrics_json, parse_netlist, write_netlist
 from .metrics import Metrics, structural_metrics
 from .sim import (
@@ -63,11 +63,9 @@ __all__ = [
     "build_multiplier",
     "build_ror",
     "check_formulas",
-    "cnot",
     "controlled_ror_layout",
     "export_qasm",
     "formula_metrics",
-    "fredkin",
     "garbage_rows",
     "improvement_percent",
     "metrics_json",
@@ -82,8 +80,6 @@ __all__ = [
     "ror_layout",
     "run",
     "structural_metrics",
-    "swap",
-    "toffoli",
     "verify_multiplier",
     "verify_rotate",
     "write_netlist",

@@ -122,7 +122,7 @@ def check_formulas(max_n: int) -> FormulaCheck:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
     report = FormulaCheck(ok=True, max_n=max_n, checked=0)
     builders = {
-        ADDNOP: lambda n: build_addnop(n),
+        ADDNOP: build_addnop,
         ROR: lambda n: build_ror(2 * n),
         MULTIPLIER: build_multiplier,
     }

@@ -146,10 +146,6 @@ class Circuit:
             raise ValueError(f"gate {gate.kind} {lines} out of range for width {self.width}")
         self.gates.append(gate)
 
-    def extend(self, gates) -> None:
-        for gate in gates:
-            self.append(gate)
-
     def mark_stage(self) -> None:
         """Close the stage ending after the most recently appended gate."""
         first = self.stage_marks[-1] if self.stage_marks else 0

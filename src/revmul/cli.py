@@ -131,10 +131,9 @@ def _state_renderer(layout, head=""):
 def cmd_build(args) -> int:
     size = _size(args)
     circuit = _BLOCKS[args.block].build(size)
-    ext = "qasm" if args.format == "qasm" else "rev"
-    path = args.out or f"{args.block}{size}.{ext}"
+    path = args.out or f"{args.block}{size}.{args.format}"
     text = revio.export_qasm(circuit) if args.format == "qasm" else revio.write_netlist(circuit)
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
     m = structural_metrics(circuit)
     print(f"wrote {path} ({m.gate_count} gates)")
@@ -147,7 +146,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_sim(args) -> int:
-    with open(args.file) as handle:
+    with open(args.file, encoding="utf-8") as handle:
         circuit = revio.parse_netlist(handle.read())
     values = {}
     for item in args.set or []:
@@ -221,7 +220,7 @@ def cmd_compare(args) -> int:
     else:
         text = revio.metrics_json(rows)
     if args.out:
-        with open(args.out, "w") as handle:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
         print(f"wrote {args.out} ({len(rows)} rows)")
     else:

@@ -60,30 +60,6 @@ class Gate:
         _set_kind(self, kind)
         _set_lines(self, lines)
 
-    @property
-    def cost(self) -> int:
-        return QUANTUM_COST[self.kind]
-
 
 _set_kind = Gate.kind.__set__
 _set_lines = Gate.lines.__set__
-
-
-def cnot(control: int, target: int) -> Gate:
-    """target ^= control."""
-    return Gate(CNOT, (control, target))
-
-
-def toffoli(control1: int, control2: int, target: int) -> Gate:
-    """target ^= control1 AND control2."""
-    return Gate(TOFFOLI, (control1, control2, target))
-
-
-def fredkin(control: int, a: int, b: int) -> Gate:
-    """Exchange a and b when control is 1."""
-    return Gate(FREDKIN, (control, a, b))
-
-
-def swap(a: int, b: int) -> Gate:
-    """Exchange a and b unconditionally."""
-    return Gate(SWAP, (a, b))

@@ -1,6 +1,6 @@
 """Netlist serialization: the .rev text format, assembly export, JSON reports.
 
-The .rev format is line oriented with `#` comments:
+The .rev format is UTF-8 text, line oriented with `#` comments:
 
     rev 1                       version header (required first)
     qubits <width>              total line count (required, 1..MAX_QUBITS)

@@ -8,7 +8,7 @@ otherwise) and a constant-depth rotate-right-by-one network.
 """
 
 from .circuit import Circuit, Register, RegisterLayout
-from .gates import TOFFOLI, Gate, fredkin, swap, toffoli
+from .gates import FREDKIN, SWAP, TOFFOLI, Gate
 
 ADDNOP = "addnop"
 ROR = "ror"
@@ -55,9 +55,7 @@ def ror_layout(width: int) -> RegisterLayout:
 
 
 def controlled_ror_layout(width: int) -> RegisterLayout:
-    if width < 2:
-        raise ValueError(f"rotate width must be >= 2, got {width}")
-    return RegisterLayout([Register("P", 0, width), Register("C", width, 1)])
+    return RegisterLayout([*ror_layout(width).registers, Register("C", width, 1)])
 
 
 def _addnop_stages(a: int, b: list[int], w: list[int], z: int) -> list[list[Gate]]:
@@ -87,20 +85,20 @@ def _addnop_stages(a: int, b: list[int], w: list[int], z: int) -> list[list[Gate
     n = len(b)
     stages = []
     for i in range(n - 1):  # upward carry sweep
-        stages += [[toffoli(a, z, w[i])], [fredkin(w[i], b[i], z)]]
+        stages += [[Gate(TOFFOLI, (a, z, w[i]))], [Gate(FREDKIN, (w[i], b[i], z))]]
     # the top position's opening half add joins the last upward layer, if any
-    stages.append((stages.pop() if n > 1 else []) + [toffoli(a, b[n - 1], w[n - 1])])
+    stages.append((stages.pop() if n > 1 else []) + [Gate(TOFFOLI, (a, b[n - 1], w[n - 1]))])
     stages += [
-        [fredkin(w[n - 1], b[n - 1], z)],
-        [toffoli(a, b[n - 1], w[n])],  # final carry lands on the top window line
-        [fredkin(w[n - 1], b[n - 1], z)],
-        [toffoli(a, z, w[n - 1])],
+        [Gate(FREDKIN, (w[n - 1], b[n - 1], z))],
+        [Gate(TOFFOLI, (a, b[n - 1], w[n]))],  # final carry lands on the top window line
+        [Gate(FREDKIN, (w[n - 1], b[n - 1], z))],
+        [Gate(TOFFOLI, (a, z, w[n - 1]))],
     ]
     if n > 1:  # downward unwind
-        stages.append([fredkin(w[n - 2], b[n - 2], z)])
+        stages.append([Gate(FREDKIN, (w[n - 2], b[n - 2], z))])
         for i in range(n - 2, 0, -1):
-            stages.append([toffoli(a, b[i], w[i]), fredkin(w[i - 1], b[i - 1], z)])
-        stages.append([toffoli(a, b[0], w[0])])
+            stages.append([Gate(TOFFOLI, (a, b[i], w[i])), Gate(FREDKIN, (w[i - 1], b[i - 1], z))])
+        stages.append([Gate(TOFFOLI, (a, b[0], w[0]))])
     return stages
 
 
@@ -108,8 +106,8 @@ def _ror_stages(lines: list[int]) -> list[list[Gate]]:
     """Two layers of disjoint swaps realizing rotate-right-by-one over k
     lines: k // 2 swaps, then (k - 1) // 2, so a span of 2 is one swap."""
     k = len(lines)
-    first = [swap(lines[i], lines[k - 1 - i]) for i in range(k // 2)]
-    second = [swap(lines[i], lines[k - 2 - i]) for i in range((k - 1) // 2)]
+    first = [Gate(SWAP, (lines[i], lines[k - 1 - i])) for i in range(k // 2)]
+    second = [Gate(SWAP, (lines[i], lines[k - 2 - i])) for i in range((k - 1) // 2)]
     return [first, second] if second else [first]
 
 
@@ -153,7 +151,7 @@ def build_controlled_ror(width: int) -> Circuit:
     multiplier. The control is line `width`, just above the window.
     """
     layout = controlled_ror_layout(width)
-    return _circuit(layout, ([fredkin(width, i, i + 1)] for i in range(width - 1)))
+    return _circuit(layout, ([Gate(FREDKIN, (width, i, i + 1))] for i in range(width - 1)))
 
 
 def _multiplier_blocks(n: int) -> list[tuple[str, int, range, range]]:

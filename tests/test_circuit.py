@@ -1,6 +1,6 @@
 import pytest
 
-from revmul import Circuit, Register, RegisterLayout, cnot, swap, toffoli
+from revmul import CNOT, SWAP, TOFFOLI, Circuit, Register, RegisterLayout
 from revmul.gates import Gate
 from revmul.synth import multiplier_layout
 
@@ -56,14 +56,14 @@ def test_register_bit_lookup():
 
 def test_append_counts_gates():
     circ = Circuit(RegisterLayout([Register("R", 0, 17)]))
-    circ.append(toffoli(0, 4, 11))
+    circ.append(Gate(TOFFOLI, (0, 4, 11)))
     assert len(circ) == 1
 
 
 def test_append_out_of_range():
     circ = Circuit(RegisterLayout([Register("R", 0, 17)]))
     with pytest.raises(ValueError, match="out of range"):
-        circ.append(cnot(0, 17))
+        circ.append(Gate(CNOT, (0, 17)))
 
 
 @pytest.mark.parametrize("lines", [(0.0, 1.5), (True, 2)], ids=["float", "bool"])
@@ -73,22 +73,23 @@ def test_append_refuses_a_line_that_is_not_a_plain_int(lines):
     with pytest.raises(ValueError, match="not a plain int"):
         circ.append(Gate("cx", lines))
     with pytest.raises(ValueError, match="not a plain int"):
-        circ.extend([cnot(0, 1), Gate("cx", lines)])
-    assert circ.gates == [cnot(0, 1)]
+        for gate in [Gate(CNOT, (0, 1)), Gate("cx", lines)]:
+            circ.append(gate)
+    assert circ.gates == [Gate(CNOT, (0, 1))]
 
 
 def test_marked_stages():
     circ = Circuit(RegisterLayout([Register("R", 0, 6)]))
-    circ.append(swap(0, 1))
+    circ.append(Gate(SWAP, (0, 1)))
     circ.mark_stage()
-    circ.append(swap(2, 3))
-    circ.append(swap(4, 5))
+    circ.append(Gate(SWAP, (2, 3)))
+    circ.append(Gate(SWAP, (4, 5)))
     circ.mark_stage()
     assert circ.stage_count == 2
     assert [len(s) for s in circ.stages()] == [1, 2]
     # gates after the last mark count one stage each
-    circ.append(swap(0, 5))
-    circ.append(swap(1, 2))
+    circ.append(Gate(SWAP, (0, 5)))
+    circ.append(Gate(SWAP, (1, 2)))
     assert circ.stage_count == 4
     assert [len(s) for s in circ.stages()] == [1, 2, 1, 1]
     assert repr(circ) == "Circuit(width=6, gates=5, stages=4)"
@@ -98,7 +99,7 @@ def test_empty_stage_rejected():
     circ = Circuit(RegisterLayout([Register("R", 0, 2)]))
     with pytest.raises(ValueError, match="empty stage"):
         circ.mark_stage()
-    circ.append(swap(0, 1))
+    circ.append(Gate(SWAP, (0, 1)))
     circ.mark_stage()
     with pytest.raises(ValueError, match="empty stage"):
         circ.mark_stage()
@@ -106,18 +107,18 @@ def test_empty_stage_rejected():
 
 def test_overlapping_stage_gates_rejected():
     circ = Circuit(RegisterLayout([Register("R", 0, 4)]))
-    circ.append(swap(0, 1))
-    circ.append(swap(1, 2))
+    circ.append(Gate(SWAP, (0, 1)))
+    circ.append(Gate(SWAP, (1, 2)))
     with pytest.raises(ValueError, match="disjoint"):
         circ.mark_stage()
 
 
 def test_unmarked_tail_is_sequential():
     circ = Circuit(RegisterLayout([Register("R", 0, 6)]))
-    circ.append(swap(0, 1))
+    circ.append(Gate(SWAP, (0, 1)))
     circ.mark_stage()
-    circ.append(swap(2, 3))
-    circ.append(swap(4, 5))
+    circ.append(Gate(SWAP, (2, 3)))
+    circ.append(Gate(SWAP, (4, 5)))
     # the two trailing gates carry no parallelism declaration
     assert [len(s) for s in circ.stages()] == [1, 1, 1]
 

@@ -16,7 +16,7 @@ import revmul
 from revmul import analysis, cli, io as revio, sim, synth
 from revmul.circuit import Circuit, Register, RegisterLayout
 from revmul.cli import MAX_GATES, main
-from revmul.gates import cnot, swap, toffoli
+from revmul.gates import CNOT, SWAP, TOFFOLI, Gate
 
 
 def test_build_mul_writes_netlist(tmp_path, capsys):
@@ -251,7 +251,8 @@ def reference_sim_stdout(circuit, values, trace):
     if trace:
         for number, stage in enumerate(circuit.stages(), 1):
             part = Circuit(circuit.layout)
-            part.extend(stage)
+            for gate in stage:
+                part.append(gate)
             state = sim.run(part, state)
             out.append(f"stage {number}: {reference_format_state(circuit.layout, state)}")
     else:
@@ -262,9 +263,12 @@ def reference_sim_stdout(circuit, values, trace):
 
 def _unmarked_tail():
     circ = Circuit(RegisterLayout([Register("R", 0, 3), Register("Z", 3, 1, 1)]))
-    circ.extend([cnot(0, 1), swap(2, 3)])
+    circ.append(Gate(CNOT, (0, 1)))
+    circ.append(Gate(SWAP, (2, 3)))
     circ.mark_stage()
-    circ.extend([toffoli(3, 1, 2), cnot(2, 0), swap(0, 3)])  # no mark after these
+    # no mark after these
+    for gate in [Gate(TOFFOLI, (3, 1, 2)), Gate(CNOT, (2, 0)), Gate(SWAP, (0, 3))]:
+        circ.append(gate)
     return circ
 
 
@@ -274,7 +278,9 @@ def _percent_names():
         Register("100%", 0, 2), Register("x%d", 2, 1), Register("%s", 3, 2, 1), Register("P", 5, 1, 0)
     ])
     circ = Circuit(layout)
-    circ.extend([cnot(0, 2), swap(3, 4), cnot(1, 5), toffoli(0, 1, 3), swap(2, 4)])
+    gates = [(CNOT, (0, 2)), (SWAP, (3, 4)), (CNOT, (1, 5)), (TOFFOLI, (0, 1, 3)), (SWAP, (2, 4))]
+    for kind, lines in gates:
+        circ.append(Gate(kind, lines))
     circ.stage_marks.extend([2, 3])
     return circ
 
@@ -743,18 +749,42 @@ def test_unknown_subcommand_exits_two():
     assert info.value.code == 2
 
 
-def test_module_entry_point():
-    # the child imports the same revmul as this test, installed or not
+def child_env():
+    """The environment of a child that imports the same revmul as this test,
+    installed or not."""
     src = str(Path(revmul.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "revmul", "verify", "mul", "--n", "2"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert "ok" in proc.stdout
+
+
+def test_every_file_is_opened_as_utf8(tmp_path):
+    # an open() without an encoding reads and writes in the locale's encoding;
+    # with its EncodingWarning as an error, the command fails
+    netlist, table = str(tmp_path / "mul2.rev"), str(tmp_path / "table.md")
+    for argv in (
+        ["build", "mul", "--n", "2", "--out", netlist],
+        ["sim", netlist, "--set", "A=3", "--set", "B=2"],
+        ["compare", "--max-n", "4", "--out", table],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "revmul", *argv],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
@@ -823,7 +853,8 @@ def test_wide_register_renders_as_the_slice_renderer_inside_main(tmp_path, capsy
 
 def _drop_last_gate(circuit):
     damaged = Circuit(circuit.layout)
-    damaged.extend(circuit.gates[:-1])
+    for gate in circuit.gates[:-1]:
+        damaged.append(gate)
     return damaged
 
 

@@ -2,52 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revmul import CNOT, FREDKIN, SWAP, TOFFOLI, Gate, cnot, fredkin, swap, toffoli
-from revmul.gates import ARITY
+from revmul import CNOT, FREDKIN, SWAP, TOFFOLI, Gate
+from revmul.gates import ARITY, QUANTUM_COST
 
 
 def test_primitive_costs():
-    assert cnot(0, 1).cost == 1
-    assert toffoli(0, 1, 2).cost == 5
-    assert fredkin(0, 1, 2).cost == 5
-    assert swap(0, 1).cost == 3
+    assert QUANTUM_COST == {CNOT: 1, TOFFOLI: 5, FREDKIN: 5, SWAP: 3}
 
 
 def test_kind_mnemonics():
     assert (CNOT, TOFFOLI, FREDKIN, SWAP) == ("cx", "ccx", "cswap", "swap")
-    assert toffoli(0, 4, 11).lines == (0, 4, 11)
-
-
-@pytest.mark.parametrize(
-    "kind,lines",
-    [
-        (SWAP, (3, 3)),
-        (CNOT, (1, 1)),
-        (TOFFOLI, (0, 0, 1)),
-        (TOFFOLI, (0, 2, 2)),
-        (FREDKIN, (5, 1, 5)),
-    ],
-)
-def test_duplicate_lines_rejected(kind, lines):
-    with pytest.raises(ValueError, match="duplicate line"):
-        Gate(kind, lines)
-
-
-def test_arity_enforced():
-    with pytest.raises(ValueError, match="takes 3 lines"):
-        Gate(TOFFOLI, (0, 1))
-    with pytest.raises(ValueError, match="takes 2 lines"):
-        Gate(SWAP, (0, 1, 2))
-
-
-def test_unknown_kind_rejected():
-    with pytest.raises(ValueError, match="unknown gate kind"):
-        Gate("x", (0,))
-
-
-def test_negative_line_rejected():
-    with pytest.raises(ValueError, match="negative"):
-        Gate(SWAP, (-1, 0))
+    assert Gate(TOFFOLI, (0, 4, 11)).lines == (0, 4, 11)
 
 
 @pytest.mark.parametrize(
@@ -62,6 +27,13 @@ def test_negative_line_rejected():
         (SWAP, (-1, -1), "negative line index in swap gate: (-1, -1)"),
         # and the arity check before both
         ("cx", (-1, -1, -1), "cx takes 2 lines, got 3"),
+        (SWAP, (0, 1, 2), "swap takes 2 lines, got 3"),
+        (SWAP, (-1, 0), "negative line index in swap gate: (-1, 0)"),
+        (SWAP, (3, 3), "duplicate line index in swap gate: (3, 3)"),
+        (CNOT, (1, 1), "duplicate line index in cx gate: (1, 1)"),
+        (TOFFOLI, (0, 0, 1), "duplicate line index in ccx gate: (0, 0, 1)"),
+        (TOFFOLI, (0, 2, 2), "duplicate line index in ccx gate: (0, 2, 2)"),
+        (FREDKIN, (5, 1, 5), "duplicate line index in cswap gate: (5, 1, 5)"),
     ],
 )
 def test_gate_fault_messages(kind, lines, message):
@@ -107,9 +79,9 @@ def test_gate_check_matches_reference(kind, as_tuple, data):
 def test_lines_stored_as_tuple():
     gate = Gate(TOFFOLI, [0, 1, 2])
     assert gate.lines == (0, 1, 2) and type(gate.lines) is tuple
-    assert gate == toffoli(0, 1, 2) and hash(gate) == hash(toffoli(0, 1, 2))
+    assert gate == Gate(TOFFOLI, (0, 1, 2)) and hash(gate) == hash(Gate(TOFFOLI, (0, 1, 2)))
 
 
 def test_gate_is_frozen():
     with pytest.raises(AttributeError):
-        swap(0, 1).kind = CNOT
+        Gate(SWAP, (0, 1)).kind = CNOT

@@ -11,13 +11,9 @@ from revmul import (
     build_controlled_ror,
     build_multiplier,
     build_ror,
-    cnot,
-    fredkin,
     structural_metrics,
-    swap,
-    toffoli,
 )
-from revmul.gates import KIND_ORDER
+from revmul.gates import CNOT, FREDKIN, KIND_ORDER, QUANTUM_COST, SWAP, TOFFOLI, Gate
 
 
 def scratch(width):
@@ -36,10 +32,10 @@ def test_empty_circuit_all_zero():
 
 def test_quantum_cost_is_weighted_count():
     circ = scratch(6)
-    circ.append(cnot(0, 1))
-    circ.append(toffoli(0, 1, 2))
-    circ.append(toffoli(3, 4, 5))
-    circ.append(swap(2, 3))
+    circ.append(Gate(CNOT, (0, 1)))
+    circ.append(Gate(TOFFOLI, (0, 1, 2)))
+    circ.append(Gate(TOFFOLI, (3, 4, 5)))
+    circ.append(Gate(SWAP, (2, 3)))
     m = structural_metrics(circ)
     assert m.quantum_cost == 1 + 5 + 5 + 3
     assert m.gate_counts == {"cx": 1, "ccx": 2, "swap": 1}
@@ -47,21 +43,21 @@ def test_quantum_cost_is_weighted_count():
 
 def test_asap_single_swap():
     circ = scratch(2)
-    circ.append(swap(0, 1))
+    circ.append(Gate(SWAP, (0, 1)))
     assert structural_metrics(circ).asap_depth == 3
 
 
 def test_asap_disjoint_toffolis_share_a_layer():
     circ = scratch(6)
-    circ.append(toffoli(0, 1, 2))
-    circ.append(toffoli(3, 4, 5))
+    circ.append(Gate(TOFFOLI, (0, 1, 2)))
+    circ.append(Gate(TOFFOLI, (3, 4, 5)))
     assert structural_metrics(circ).asap_depth == 5
 
 
 def test_asap_shared_line_serializes():
     circ = scratch(3)
-    circ.append(toffoli(0, 1, 2))
-    circ.append(toffoli(0, 1, 2))
+    circ.append(Gate(TOFFOLI, (0, 1, 2)))
+    circ.append(Gate(TOFFOLI, (0, 1, 2)))
     assert structural_metrics(circ).asap_depth == 10
 
 
@@ -84,16 +80,16 @@ def test_asap_invariant_under_reorder_within_stage():
 
 def test_staged_delay_uses_stage_maximum():
     circ = scratch(5)
-    circ.append(swap(0, 1))
-    circ.append(toffoli(2, 3, 4))
+    circ.append(Gate(SWAP, (0, 1)))
+    circ.append(Gate(TOFFOLI, (2, 3, 4)))
     circ.mark_stage()
     assert structural_metrics(circ).staged_delay == 5
 
 
 def test_unstaged_circuit_priced_sequentially():
     circ = scratch(4)
-    circ.append(swap(0, 1))
-    circ.append(swap(2, 3))
+    circ.append(Gate(SWAP, (0, 1)))
+    circ.append(Gate(SWAP, (2, 3)))
     m = structural_metrics(circ)
     assert m.staged_delay == m.quantum_cost == 6
     assert m.asap_depth == 3  # the greedy schedule still parallelizes
@@ -107,17 +103,17 @@ def test_depth_ordering_on_built_blocks():
 
 def stages_delay(circ):
     """Staged delay summed over Circuit.stages(), the reference."""
-    return sum(max(g.cost for g in stage) for stage in circ.stages())
+    return sum(max(QUANTUM_COST[g.kind] for g in stage) for stage in circ.stages())
 
 
 def mixed_circuit(marked):
     # 7 gates of costs 1, 5, 3, 5, 3, 1, 5; `marked` closes a stage after
     # each listed gate count
     circ = scratch(6)
-    gates = [cnot(0, 1), toffoli(2, 3, 4), swap(0, 5), fredkin(1, 2, 3),
-             swap(4, 5), cnot(0, 1), toffoli(3, 4, 5)]
-    for count, gate in enumerate(gates, 1):
-        circ.append(gate)
+    gates = [(CNOT, (0, 1)), (TOFFOLI, (2, 3, 4)), (SWAP, (0, 5)), (FREDKIN, (1, 2, 3)),
+             (SWAP, (4, 5)), (CNOT, (0, 1)), (TOFFOLI, (3, 4, 5))]
+    for count, (kind, lines) in enumerate(gates, 1):
+        circ.append(Gate(kind, lines))
         if count in marked:
             circ.mark_stage()
     return circ
@@ -152,8 +148,8 @@ def reference_asap_depth(circuit):
         layer = max((next_free.get(line, 0) for line in gate.lines), default=0)
         if layer == len(layer_costs):
             layer_costs.append(0)
-        if gate.cost > layer_costs[layer]:
-            layer_costs[layer] = gate.cost
+        if QUANTUM_COST[gate.kind] > layer_costs[layer]:
+            layer_costs[layer] = QUANTUM_COST[gate.kind]
         for line in gate.lines:
             next_free[line] = layer + 1
     return sum(layer_costs)
@@ -186,16 +182,16 @@ def random_circuit(seed, width=7, gates=60):
     """Gates of all four kinds on random lines; each stage gathers gates on
     disjoint lines and is marked or, now and then, left unmarked at the end."""
     rng = random.Random(seed)
-    makers = [(2, cnot), (3, toffoli), (3, fredkin), (2, swap)]
+    makers = [(2, CNOT), (3, TOFFOLI), (3, FREDKIN), (2, SWAP)]
     circ = scratch(width)
     used = set()
     for count in range(1, gates + 1):
-        arity, make = rng.choice(makers)
+        arity, kind = rng.choice(makers)
         lines = rng.sample(range(width), arity)
         if used & set(lines):
             circ.mark_stage()
             used.clear()
-        circ.append(make(*lines))
+        circ.append(Gate(kind, lines))
         used.update(lines)
     if rng.random() < 0.5:
         circ.mark_stage()
@@ -209,9 +205,9 @@ def reference_staged_delay(circuit):
     total = stage_max = 0
     for pos, gate in enumerate(circuit.gates, 1):
         if pos > last:  # after the last mark each gate is a stage of its own
-            total += gate.cost
+            total += QUANTUM_COST[gate.kind]
             continue
-        stage_max = max(stage_max, gate.cost)
+        stage_max = max(stage_max, QUANTUM_COST[gate.kind])
         if pos in marks:
             total += stage_max
             stage_max = 0
@@ -222,7 +218,7 @@ def reference_metrics(circuit):
     counts, cost = {}, 0
     for gate in circuit.gates:
         counts[gate.kind] = counts.get(gate.kind, 0) + 1
-        cost += gate.cost
+        cost += QUANTUM_COST[gate.kind]
     return Metrics(
         gate_counts={kind: counts[kind] for kind in KIND_ORDER if kind in counts},
         gate_count=len(circuit.gates),

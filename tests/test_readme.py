@@ -1,10 +1,13 @@
-"""The README's Library section runs as written and names only public names."""
+"""The README's Library and Command line sections run as written, and the
+Library section names only public names."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import revmul
+from revmul.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 LIBRARY = README.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
@@ -35,3 +38,14 @@ def test_library_paragraph_names_public_functions():
     names = re.findall(r"`(\w+)(?:\([^`]*\))?`", paragraph)
     assert "structural_metrics" in names and "oracle_rotate_right" in names
     assert [name for name in names if name not in revmul.__all__] == []
+
+
+def test_command_line_block_runs_in_order(tmp_path, monkeypatch, capsys):
+    block = README.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    code = re.search(r"```sh\n(.*?)```", block, re.S).group(1)
+    commands = [shlex.split(line, comments=True) for line in code.splitlines()]
+    assert commands and all(argv[0] == "revmul" for argv in commands)
+    monkeypatch.chdir(tmp_path)  # `build` writes mul4.rev, which `sim` reads
+    for argv in commands:
+        assert main(argv[1:]) == 0, " ".join(argv)
+        capsys.readouterr()

@@ -15,8 +15,6 @@ from revmul import (
     build_controlled_ror,
     build_multiplier,
     build_ror,
-    cnot,
-    fredkin,
     multiplier_layout,
     oracle_multiply,
     oracle_rotate_right,
@@ -24,15 +22,13 @@ from revmul import (
     parse_netlist,
     register_value,
     run,
-    swap,
-    toffoli,
     verify_multiplier,
     verify_rotate,
     write_netlist,
 )
 from revmul import sim
 from revmul.circuit import Circuit
-from revmul.gates import ARITY, FREDKIN, KIND_ORDER, SWAP, TOFFOLI, Gate
+from revmul.gates import ARITY, CNOT, FREDKIN, KIND_ORDER, SWAP, TOFFOLI, Gate
 
 
 # ---------------------------------------------------------------- gate semantics
@@ -45,28 +41,31 @@ def apply_gate(state, gate):
 
 
 def test_toffoli_semantics():
-    assert apply_gate([1, 1, 0], toffoli(0, 1, 2)) == [1, 1, 1]
-    assert apply_gate([1, 0, 0], toffoli(0, 1, 2)) == [1, 0, 0]
+    assert apply_gate([1, 1, 0], Gate(TOFFOLI, (0, 1, 2))) == [1, 1, 1]
+    assert apply_gate([1, 0, 0], Gate(TOFFOLI, (0, 1, 2))) == [1, 0, 0]
 
 
 def test_fredkin_semantics():
-    assert apply_gate([0, 1, 0], fredkin(0, 1, 2)) == [0, 1, 0]  # clear control: no move
-    assert apply_gate([1, 1, 0], fredkin(0, 1, 2)) == [1, 0, 1]
+    assert apply_gate([0, 1, 0], Gate(FREDKIN, (0, 1, 2))) == [0, 1, 0]  # clear control: no move
+    assert apply_gate([1, 1, 0], Gate(FREDKIN, (0, 1, 2))) == [1, 0, 1]
 
 
 def test_swap_and_cnot_semantics():
-    assert apply_gate([0, 1], swap(0, 1)) == [1, 0]
-    assert apply_gate([1, 0], cnot(0, 1)) == [1, 1]
-    assert apply_gate([0, 1], cnot(0, 1)) == [0, 1]
+    assert apply_gate([0, 1], Gate(SWAP, (0, 1))) == [1, 0]
+    assert apply_gate([1, 0], Gate(CNOT, (0, 1))) == [1, 1]
+    assert apply_gate([0, 1], Gate(CNOT, (0, 1))) == [0, 1]
 
 
 def test_run_does_not_mutate_input():
     state = [1, 1, 0]
-    apply_gate(state, toffoli(0, 1, 2))
+    apply_gate(state, Gate(TOFFOLI, (0, 1, 2)))
     assert state == [1, 1, 0]
 
 
-@pytest.mark.parametrize("gate", [cnot(0, 1), toffoli(0, 1, 2), fredkin(2, 0, 1), swap(1, 2)])
+@pytest.mark.parametrize(
+    "gate",
+    [Gate(CNOT, (0, 1)), Gate(TOFFOLI, (0, 1, 2)), Gate(FREDKIN, (2, 0, 1)), Gate(SWAP, (1, 2))],
+)
 def test_every_gate_is_an_involution(gate):
     for value in range(8):
         state = [(value >> i) & 1 for i in range(3)]
@@ -110,9 +109,10 @@ def test_run_trace_snapshots():
 def _trailing_gates():
     # one marked stage, then three gates that carry no stage mark
     circ = Circuit(RegisterLayout([Register("R", 0, 3)]))
-    circ.append(cnot(0, 1))
+    circ.append(Gate(CNOT, (0, 1)))
     circ.mark_stage()
-    circ.extend([cnot(1, 2), toffoli(0, 1, 2), swap(0, 2)])
+    for gate in [Gate(CNOT, (1, 2)), Gate(TOFFOLI, (0, 1, 2)), Gate(SWAP, (0, 2))]:
+        circ.append(gate)
     return circ
 
 
@@ -314,7 +314,8 @@ def test_verify_counterexamples_capped():
 
 def _drop_last_gate(circuit):
     damaged = Circuit(circuit.layout)
-    damaged.extend(circuit.gates[:-1])
+    for gate in circuit.gates[:-1]:
+        damaged.append(gate)
     return damaged
 
 
@@ -528,11 +529,13 @@ def test_gates_are_involutions_on_lane_packed_states(circ, data):
         label="state",
     )
     reverse = Circuit(circ.layout)
-    reverse.extend(reversed(circ.gates))
+    for gate in reversed(circ.gates):
+        reverse.append(gate)
     assert run(reverse, run(circ, state)) == state
     for gate in circ.gates:
         twice = Circuit(circ.layout)
-        twice.extend([gate, gate])
+        twice.append(gate)
+        twice.append(gate)
         assert run(twice, state) == state
 
 
@@ -626,8 +629,9 @@ def flagged_multiplier(n):
     top = circ.layout["P"].end - 1
     p0, p1, p2, p3 = top, top - 1, top - 2, top - 3
     a0, b0, zcin = circ.layout["A"].start, circ.layout["B"].start, circ.layout["Zcin"].start
-    c3 = [toffoli(p2, b0, a0), toffoli(p0, p1, b0), toffoli(p2, b0, a0), toffoli(p0, p1, b0)]
-    circ.extend([toffoli(p3, a0, zcin), *c3, toffoli(p3, a0, zcin), *c3])
+    c3 = [(p2, b0, a0), (p0, p1, b0), (p2, b0, a0), (p0, p1, b0)]
+    for lines in [(p3, a0, zcin), *c3, (p3, a0, zcin), *c3]:
+        circ.append(Gate(TOFFOLI, lines))
     return circ
 
 

@@ -229,7 +229,8 @@ def test_carry_slot_clear_at_every_adder_entry(n):
     for kind, _, gates, _ in _multiplier_blocks(n):
         if kind == ADDNOP:
             prefix = Circuit(layout)
-            prefix.extend(circ.gates[: gates.start])
+            for gate in circ.gates[: gates.start]:
+                prefix.append(gate)
             prefixes.append(prefix)
     assert len(prefixes) == n
 
@@ -274,11 +275,12 @@ def test_multiplier_stage_count():
 
 def checked(layout, stages):
     """A circuit holding `stages`, built through Circuit's checked path:
-    `extend` range-checks every gate and `mark_stage` checks that each
+    `append` range-checks every gate and `mark_stage` checks that each
     stage's gates act on disjoint lines."""
     circ = Circuit(layout)
     for stage in stages:
-        circ.extend(stage)
+        for gate in stage:
+            circ.append(gate)
         circ.mark_stage()
     return circ
 
@@ -361,7 +363,7 @@ def test_builders_never_call_the_checked_path(monkeypatch):
     def refuse(*args):
         raise AssertionError("a builder went through Circuit's run-time checks")
 
-    for name in ("append", "extend", "mark_stage"):
+    for name in ("append", "mark_stage"):
         monkeypatch.setattr(Circuit, name, refuse)
     build_addnop(5)
     build_ror(8)
