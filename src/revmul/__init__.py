@@ -31,14 +31,11 @@ from .sim import (
     verify_rotate,
 )
 from .synth import (
-    addnop_layout,
     build_addnop,
     build_controlled_ror,
     build_multiplier,
     build_ror,
-    controlled_ror_layout,
     multiplier_layout,
-    ror_layout,
 )
 
 __version__ = "0.1.0"
@@ -57,13 +54,11 @@ __all__ = [
     "RegisterLayout",
     "VerifyReport",
     "ancilla_rows",
-    "addnop_layout",
     "build_addnop",
     "build_controlled_ror",
     "build_multiplier",
     "build_ror",
     "check_formulas",
-    "controlled_ror_layout",
     "export_qasm",
     "formula_metrics",
     "garbage_rows",
@@ -77,7 +72,6 @@ __all__ = [
     "register_value",
     "render_csv",
     "render_markdown",
-    "ror_layout",
     "run",
     "structural_metrics",
     "verify_multiplier",

@@ -27,7 +27,8 @@ class Register:
     const: int | None = None
 
     def __post_init__(self):
-        if not self.name or any(ch.isspace() for ch in self.name):
+        # a .rev declaration splits on whitespace and a "#" opens a comment
+        if not self.name or "#" in self.name or any(ch.isspace() for ch in self.name):
             raise ValueError(f"bad register name {_shown(self.name)}")
         # plain ints only: the writer prints these fields, and the parser
         # reads back only integers (a bool or float would print as True or 2.0)

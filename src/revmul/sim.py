@@ -32,7 +32,7 @@ from functools import reduce
 
 from .circuit import _MAX_SHOWN_CHARS, Circuit, RegisterLayout, _shown
 from .gates import FREDKIN, SWAP, TOFFOLI
-from .synth import build_controlled_ror, build_multiplier, build_ror, multiplier_layout, ror_layout
+from .synth import build_controlled_ror, build_multiplier, build_ror, multiplier_layout
 
 MAX_COUNTEREXAMPLES = 16
 # Most lanes x lines in one sweep batch: a wider circuit gets fewer lanes per
@@ -411,7 +411,7 @@ def verify_rotate(
         return rotated, 0
 
     def explain(entry, out, expected):
-        value = register_value(ror_layout(width), entry, "P")  # lines 0..width-1 in both layouts
+        value = _bits_value(entry[:width])  # P is lines 0..width-1 in both rotate layouts
         control = entry[width] if controlled else None
         return {"input": value, "control": control, "expected": expected, "got": out}
 

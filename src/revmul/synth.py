@@ -14,48 +14,36 @@ ADDNOP = "addnop"
 ROR = "ror"
 
 
+def _product_layout(n: int, controls: int, window: int) -> RegisterLayout:
+    """The plan every ADD/NOP acts on: `controls` multiplier lines A, n lines B,
+    a `window`-line product register P and the carry Zcin, P and Zcin as ancilla 0."""
+    if n < 1:
+        raise ValueError(f"operand width must be >= 1, got {n}")
+    return RegisterLayout(
+        [
+            Register("A", 0, controls),
+            Register("B", controls, n),
+            Register("P", controls + n, window, const=0),
+            Register("Zcin", controls + n + window, 1, const=0),
+        ]
+    )
+
+
 def multiplier_layout(n: int) -> RegisterLayout:
     """Line plan for the n x n multiplier: 4n+1 lines.
 
     A and B are data inputs; the 2n product lines P and the carry line Zcin
     enter as ancilla 0, so ancilla_inputs = 2n+1.
     """
-    if n < 1:
-        raise ValueError(f"operand width must be >= 1, got {n}")
-    return RegisterLayout(
-        [
-            Register("A", 0, n),
-            Register("B", n, n),
-            Register("P", 2 * n, 2 * n, const=0),
-            Register("Zcin", 4 * n, 1, const=0),
-        ]
-    )
+    return _product_layout(n, n, 2 * n)
 
 
-def addnop_layout(n: int) -> RegisterLayout:
-    """Standalone ADD/NOP layout: control line A, operand B, an (n+1)-line
-    product window P entering as 0, and the carry line Zcin. 2n+3 lines,
-    ancilla_inputs = n+2."""
-    if n < 1:
-        raise ValueError(f"operand width must be >= 1, got {n}")
-    return RegisterLayout(
-        [
-            Register("A", 0, 1),
-            Register("B", 1, n),
-            Register("P", n + 1, n + 1, const=0),
-            Register("Zcin", 2 * n + 2, 1, const=0),
-        ]
-    )
-
-
-def ror_layout(width: int) -> RegisterLayout:
+def _ror_layout(width: int, controlled: bool) -> RegisterLayout:
+    """P on lines 0..width-1 and, if `controlled`, the control C on line `width`."""
     if width < 2:
         raise ValueError(f"rotate width must be >= 2, got {width}")
-    return RegisterLayout([Register("P", 0, width)])
-
-
-def controlled_ror_layout(width: int) -> RegisterLayout:
-    return RegisterLayout([*ror_layout(width).registers, Register("C", width, 1)])
+    control = [Register("C", width, 1)] if controlled else []
+    return RegisterLayout([Register("P", 0, width), *control])
 
 
 def _addnop_stages(a: int, b: list[int], w: list[int], z: int) -> list[list[Gate]]:
@@ -130,8 +118,8 @@ def _circuit(layout: RegisterLayout, stages) -> Circuit:
 
 def build_addnop(n: int) -> Circuit:
     """Standalone ADD/NOP block: add B into the (n+1)-line window P when the
-    control line A is 1."""
-    layout = addnop_layout(n)
+    control line A is 1. 2n+3 lines, ancilla_inputs = n+2."""
+    layout = _product_layout(n, 1, n + 1)
     b, window = list(layout["B"].lines), list(layout["P"].lines)
     return _circuit(layout, _addnop_stages(layout["A"].start, b, window, layout["Zcin"].start))
 
@@ -140,7 +128,7 @@ def build_ror(width: int) -> Circuit:
     """Rotate-right-by-one over `width` lines: the bit on line p moves to line
     p-1 and line 0 wraps to the top. width-1 Swap gates in at most two
     parallel stages, so the depth stays 6 (3 at width 2) at any size."""
-    return _circuit(ror_layout(width), _ror_stages(list(range(width))))
+    return _circuit(_ror_layout(width, controlled=False), _ror_stages(list(range(width))))
 
 
 def build_controlled_ror(width: int) -> Circuit:
@@ -150,7 +138,7 @@ def build_controlled_ror(width: int) -> Circuit:
     units each; kept for the cost/delay trade-off numbers, never used by the
     multiplier. The control is line `width`, just above the window.
     """
-    layout = controlled_ror_layout(width)
+    layout = _ror_layout(width, controlled=True)
     return _circuit(layout, ([Gate(FREDKIN, (width, i, i + 1))] for i in range(width - 1)))
 
 

@@ -144,6 +144,14 @@ def test_register_fields_must_be_plain_ints(args, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("name", ["", "A B", "A\tB", "A#B", "#", "P#"])
+def test_register_names_must_read_back(name):
+    # the parser splits a declaration on whitespace, and "#" opens a comment
+    with pytest.raises(ValueError) as info:
+        Register(name, 0, 2)
+    assert str(info.value) == f"bad register name {name!r}"
+
+
 LONG = "N" * 400_000  # a register name longer than any message echoes whole
 
 

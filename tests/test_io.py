@@ -60,15 +60,24 @@ def test_write_parse_reproduces_exactly(circuit):
     assert write_netlist(again) == text  # canonical second pass
 
 
+# printable non-space characters but "#", which opens a .rev comment
+NAME_CHARS = st.characters(
+    max_codepoint=0x3000, exclude_categories=("C", "Z"), exclude_characters="#"
+)
+
+
 @st.composite
 def valid_circuits(draw):
-    """Circuits of every gate kind at widths 2-70: marked stages of gates on
-    disjoint lines, then unmarked gates on any lines."""
+    """Circuits of every gate kind at widths 2-70 over two registers with
+    drawn names: marked stages of gates on disjoint lines, then unmarked
+    gates on any lines."""
     width = draw(st.integers(2, 70))
     ancillas = draw(st.integers(0, width - 1))
-    registers = [Register("R", 0, width - ancillas)]
+    data, ancilla = draw(st.lists(st.text(NAME_CHARS, min_size=1, max_size=8),
+                                  min_size=2, max_size=2, unique=True))
+    registers = [Register(data, 0, width - ancillas)]
     if ancillas:
-        registers.append(Register("Z", width - ancillas, ancillas, draw(st.integers(0, 1))))
+        registers.append(Register(ancilla, width - ancillas, ancillas, draw(st.integers(0, 1))))
     circ = Circuit(RegisterLayout(registers))
 
     def gate(free):  # a gate on the first lines of `free`

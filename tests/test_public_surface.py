@@ -8,12 +8,11 @@ from revmul import gates
 PUBLIC_NAMES = [
     "CNOT", "Circuit", "FREDKIN", "FormulaCheck", "Gate", "Metrics", "NetlistError",
     "Register", "RegisterLayout", "SWAP", "TOFFOLI", "VerifyReport",
-    "addnop_layout", "ancilla_rows", "build_addnop", "build_controlled_ror",
-    "build_multiplier", "build_ror", "check_formulas", "controlled_ror_layout",
-    "export_qasm", "formula_metrics", "garbage_rows", "improvement_percent",
-    "metrics_json", "multiplier_layout", "oracle_multiply", "oracle_rotate_right",
-    "pack_state", "parse_netlist", "register_value", "render_csv", "render_markdown",
-    "ror_layout", "run", "structural_metrics", "verify_multiplier", "verify_rotate",
+    "ancilla_rows", "build_addnop", "build_controlled_ror", "build_multiplier",
+    "build_ror", "check_formulas", "export_qasm", "formula_metrics", "garbage_rows",
+    "improvement_percent", "metrics_json", "multiplier_layout", "oracle_multiply",
+    "oracle_rotate_right", "pack_state", "parse_netlist", "register_value", "render_csv",
+    "render_markdown", "run", "structural_metrics", "verify_multiplier", "verify_rotate",
     "write_netlist",
 ]
 

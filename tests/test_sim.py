@@ -10,7 +10,6 @@ from revmul import (
     Register,
     RegisterLayout,
     VerifyReport,
-    addnop_layout,
     build_addnop,
     build_controlled_ror,
     build_multiplier,
@@ -840,7 +839,7 @@ def reference_register_value(layout, state, name):
     "layout",
     [
         multiplier_layout(5),
-        addnop_layout(4),
+        build_addnop(4).layout,
         build_ror(9).layout,
         build_controlled_ror(6).layout,
         multiplier_layout(64),

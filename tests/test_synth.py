@@ -397,6 +397,8 @@ BLOCK_NETLIST_SHA256 = {
     (build_addnop, 2): "d8c72c3d722969263e80572e066801cb63d452b59974656c9bf57b7025596da5",
     (build_ror, 2): "5ad81cd47e9f704292244080b9ac46ea93d81328b58acb89c5e5f011d4bd5d1b",
     (build_ror, 3): "8cfd99e82172c722bf232417072a37694507ce2d91d8a74d936e173b698a3dc8",
+    (build_controlled_ror, 2): "ffcb243e83315a0c65a3553493504851d9a4aa40a998fcfddfba138bdc1cc5b2",
+    (build_controlled_ror, 3): "c57275f82daef81fd1b32bd7f5d75af3d271dfda2400435e3c4a205cb4f86f75",
 }
 
 
