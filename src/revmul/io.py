@@ -53,10 +53,16 @@ class NetlistError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-def _write(out: list[str], circuit: Circuit, render, separators) -> str:
+# One `%` template per gate kind, filled with a gate's line tuple.
+_REV = {kind: kind + " %s" * arity for kind, arity in ARITY.items()}
+_QASM = {kind: f"{kind} {','.join(['q[%s]'] * arity)};" for kind, arity in ARITY.items()}
+
+
+def _write(out: list[str], circuit: Circuit, templates: dict[str, str], separators) -> str:
     """The lines in `out`, then one line per gate and the next of `separators`
-    after each marked stage, as one newline-terminated text. `render(kind,
-    lines)` runs once per distinct gate; a repeated gate reuses its text."""
+    after each marked stage, as one newline-terminated text. A distinct gate
+    is rendered once, as `templates[kind] % lines`; a repeated gate reuses
+    its text."""
     gates = circuit.gates
     texts = {kind: {} for kind in ARITY}  # kind -> lines -> text
     append = out.append
@@ -67,7 +73,7 @@ def _write(out: list[str], circuit: Circuit, render, separators) -> str:
             known = texts[gate.kind]
             text = known.get(lines)
             if text is None:
-                text = known[lines] = render(gate.kind, lines)
+                text = known[lines] = templates[gate.kind] % lines
             append(text)
         if separator is not None:
             append(separator)
@@ -84,9 +90,7 @@ def write_netlist(circuit: Circuit) -> str:
             out.append(f"anc {reg.name} {reg.start} {hi} {reg.const}")
         else:
             out.append(f"reg {reg.name} {reg.start} {hi}")
-    return _write(
-        out, circuit, lambda kind, lines: f"{kind} {' '.join(map(str, lines))}", repeat("---")
-    )
+    return _write(out, circuit, _REV, repeat("---"))
 
 
 def _parse_int(token: str, what: str, lineno: int) -> int:
@@ -303,10 +307,7 @@ def export_qasm(circuit: Circuit) -> str:
         role = f"ancilla, enters as {reg.const}" if reg.is_ancilla else "data input"
         out.append(f"// {reg.name}: {span} ({role})")
     return _write(
-        out,
-        circuit,
-        lambda kind, lines: f"{kind} {','.join([f'q[{line}]' for line in lines])};",
-        (f"// --- end of stage {stage} ---" for stage in count(1)),
+        out, circuit, _QASM, (f"// --- end of stage {stage} ---" for stage in count(1))
     )
 
 

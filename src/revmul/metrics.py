@@ -64,7 +64,8 @@ def _asap_depth(circuit: Circuit, costs: list[int]) -> int:
 def _staged_delay(circuit: Circuit, costs: list[int]) -> int:
     total = start = 0
     for mark in circuit.stage_marks:
-        total += max(costs[start:mark])
+        # most stages hold one gate, whose cost needs no slice
+        total += costs[start] if mark - start == 1 else max(costs[start:mark])
         start = mark
     return total + sum(costs[start:])
 

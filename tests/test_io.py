@@ -261,6 +261,29 @@ def test_writers_match_reference(name):
     assert export_qasm(circuit) == reference_export_qasm(circuit)
 
 
+@settings(max_examples=200, deadline=None)
+@given(valid_circuits())
+def test_writers_match_reference_on_random_circuits(circuit):
+    assert write_netlist(circuit) == reference_write_netlist(circuit)
+    assert export_qasm(circuit) == reference_export_qasm(circuit)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_writer_peak_memory_stays_near_its_text(n):
+    """The writer appends one shared text per distinct gate and one shared
+    separator, so its traced peak is a few times the text it returns (3.7-3.9x
+    at these sizes; a new string per stage read 5.6x). `build`'s RSS and the CI memory
+    caps rest on this."""
+    circuit = build_multiplier(n)
+    tracemalloc.start()
+    try:
+        text = write_netlist(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * len(text)
+
+
 # sha256 of `revmul build mul --n N --format F`, as the benchmark pins them
 WRITER_SHA256 = {
     (3, "qasm"): "703499a90ae94a2a1bacdafdfd4fb88c5e64e60282fbc06b9fbeb781c7ae092d",

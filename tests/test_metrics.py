@@ -259,3 +259,7 @@ def test_random_circuits_mix_every_kind_and_stage_shape():
     assert kinds == set(KIND_ORDER)
     assert any(len(c.gates) > c.stage_marks[-1] for c in METRIC_CASES[:40] if c.stage_marks)
     assert any(len(c.gates) == c.stage_marks[-1] for c in METRIC_CASES[:40] if c.stage_marks)
+    # `_staged_delay` prices a one-gate stage without a slice: both branches are covered
+    sizes = {mark - start for c in METRIC_CASES[:40]
+             for start, mark in zip([0, *c.stage_marks], c.stage_marks)}
+    assert 1 in sizes and max(sizes) > 1
