@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import functools
+import gc
 import os
 import random
 import re
@@ -796,11 +797,14 @@ def test_out_of_memory_exits_two(tmp_path):
         "import resource, sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))\n"
+        "import gc\n"
         "from revmul.cli import main\n"
-        f"sys.exit(main(['build', 'mul', '--n', '418', '--out', {str(tmp_path / 'm.rev')!r}]))\n"
+        f"code = main(['build', 'mul', '--n', '418', '--out', {str(tmp_path / 'm.rev')!r}])\n"
+        "print(gc.isenabled())\n"  # the collector `main` paused is running again
+        "sys.exit(code)\n"
     )
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "True\n", "error: out of memory\n")
 
 
 # ---------------------------------------------------------------- values past the digit limit
@@ -858,9 +862,13 @@ def _drop_last_gate(circuit):
     return damaged
 
 
+def _failing_rotates(monkeypatch):
+    monkeypatch.setattr(sim, "build_ror", lambda width: _drop_last_gate(synth.build_ror(width)))
+
+
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
 def test_failing_wide_verify_prints_its_counterexamples(json_flag, monkeypatch, capsys):
-    monkeypatch.setattr(sim, "build_ror", lambda width: _drop_last_gate(synth.build_ror(width)))
+    _failing_rotates(monkeypatch)
     limit = _digit_limit()
     argv = ["verify", "ror", "--width", str(WIDE), "--random", "5", "--seed", "3"]
     assert main(argv + json_flag) == 1
@@ -876,6 +884,111 @@ def test_failing_wide_verify_prints_its_counterexamples(json_flag, monkeypatch, 
             head = f"ror width={WIDE}: mode=random seed=3 checked=5 FAILED ({count} counterexamples)"
             want = [head] + [f"  counterexample: {ce}" for ce in report.counterexamples]
             assert printed.splitlines() == want
+
+
+# ---------------------------------------------------------------- the collector's pause
+
+
+@pytest.fixture
+def collector():
+    """The cyclic collector's state put back after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collecting", "paused_by_caller"])
+@pytest.mark.parametrize(
+    "case, code",
+    [("build", 0), ("failing_verify", 1), ("missing_file", 2), ("usage_error", 2)],
+)
+def test_main_restores_the_collector_on_every_exit(
+    case, code, enabled, collector, monkeypatch, tmp_path, capsys
+):
+    argv = {
+        "build": ["build", "mul", "--n", "3", "--out", str(tmp_path / "m.rev")],
+        "failing_verify": ["verify", "ror", "--width", "8"],
+        "missing_file": ["sim", str(tmp_path / "missing.rev")],
+        "usage_error": ["verify", "mul", "--n", "two"],
+    }[case]
+    if case == "failing_verify":
+        _failing_rotates(monkeypatch)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        exit_code = main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        exit_code = exc.code
+    assert exit_code == code
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collecting", "paused_by_caller"])
+def test_a_command_runs_with_the_collector_paused(enabled, collector, monkeypatch, capsys):
+    seen = []
+
+    def command(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("not a usage error")  # leaves `main` through its finally
+
+    monkeypatch.setattr(cli, "cmd_verify", command)
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(RuntimeError):
+        main(["verify", "mul", "--n", "2"])
+    assert seen == [False]
+    assert gc.isenabled() is enabled
+
+
+def test_library_calls_keep_the_callers_collector(collector):
+    # only `main` pauses the collector; a build called directly leaves it on
+    gc.enable()
+    collections = []
+    gc.callbacks.append(lambda phase, info: collections.append(info["generation"]))
+    try:
+        synth.build_multiplier(32)
+    finally:
+        gc.callbacks.pop()
+    assert collections and gc.isenabled()
+
+
+# One command line of each kind at a small and a larger size ({size} is 4 or
+# 16): built files, written tables and read netlists land in {dir}.
+COLLECTOR_COMMANDS = {
+    "build_mul": (0, ["build", "mul", "--n", "{size}", "--out", "{dir}/mul.rev"]),
+    "build_ror": (0, ["build", "ror", "--width", "{size}", "--out", "{dir}/ror.rev"]),
+    "build_addnop": (0, ["build", "addnop", "--n", "{size}", "--out", "{dir}/addnop.rev"]),
+    "build_qasm": (0, ["build", "mul", "--n", "{size}", "--format", "qasm", "--out", "{dir}/mul.qasm"]),
+    "sim": (0, ["sim", "{dir}/in{size}.rev", "--set", "A=3", "--set", "B=5"]),
+    "sim_trace": (0, ["sim", "{dir}/in{size}.rev", "--set", "A=3", "--set", "B=5", "--trace"]),
+    "missing_file": (2, ["sim", "{dir}/missing{size}.rev"]),
+    "oversized_n": (2, ["build", "mul", "--n", "{size}000", "--out", "{dir}/big.rev"]),
+    "compare": (0, ["compare", "--max-n", "{size}"]),
+    "verify": (0, ["verify", "mul", "--n", "{size}", "--random", "50"]),
+    "verify_json": (0, ["verify", "mul", "--n", "{size}", "--random", "50", "--json"]),
+    "failing_verify": (1, ["verify", "ror", "--width", "{size}"]),
+    "failing_verify_json": (1, ["verify", "ror", "--width", "{size}", "--json"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLLECTOR_COMMANDS))
+def test_a_command_leaves_no_cycles_that_grow_with_its_circuit(
+    name, collector, monkeypatch, tmp_path, capsys
+):
+    # The pause is honest only if a command leaves nothing for a later
+    # collection to do per gate: what one collection finds after `main` is the
+    # same at both sizes, and small. The first run, at size 4, builds the
+    # parser and fills lazy caches and is not counted.
+    if name.startswith("failing"):
+        _failing_rotates(monkeypatch)
+    gc.disable()  # no automatic collection between `main` and the count
+    found = []
+    for size in (4, 4, 16):
+        (tmp_path / f"in{size}.rev").write_text(revio.write_netlist(synth.build_multiplier(size)))
+        code, argv = COLLECTOR_COMMANDS[name]
+        gc.collect()
+        assert main([arg.format(size=size, dir=tmp_path) for arg in argv]) == code
+        found.append(gc.collect())
+        capsys.readouterr()
+    assert found[1] == found[2] <= 64, found
 
 
 # ---------------------------------------------------------------- one parser per process
