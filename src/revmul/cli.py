@@ -114,19 +114,24 @@ def _flag_int(raw: str) -> int:
     return value
 
 
-def _state_renderer(layout, head=""):
-    """A function `render(state, *lead)` that renders a one-lane state as
-    `head % lead` followed by "NAME=value ...", the result register first and
-    the rest in layout order, through one %-template (a `%` in a name is
-    escaped as `%%`). The register shifts and masks are resolved once; each
-    state is decoded to one integer."""
+def _print_order(layout):
+    """The registers in print order, the result register first and the rest
+    in layout order, and the "NAME=%d ..." template that prints their values
+    (a `%` in a name is escaped as `%%`)."""
     order = sorted(layout.registers, key=lambda r: r.name != "P")
-    template = head + " ".join([f"{r.name.replace('%', '%%')}=%d" for r in order])
+    return order, " ".join([f"{r.name.replace('%', '%%')}=%d" for r in order])
+
+
+def _state_renderer(layout):
+    """A function `render(state)` that renders a one-lane state as
+    "NAME=value ...", in `_print_order`. The register shifts and masks are
+    resolved once; each state is decoded to one integer."""
+    order, template = _print_order(layout)
     fields = [(r.start, (1 << r.size) - 1) for r in order]
 
-    def render(state, *lead) -> str:
+    def render(state) -> str:
         x = sim._bits_value(state)
-        return template % (*lead, *[x >> start & mask for start, mask in fields])
+        return template % tuple([x >> start & mask for start, mask in fields])
 
     return render
 
@@ -158,14 +163,34 @@ def cmd_sim(args) -> int:
             raise ValueError(f"input assignment must look like NAME=VALUE, got {_shown(item)}")
         values[name] = _integer(raw, f"the value of register {_shown(name, str)}")
     state = sim.pack_state(circuit.layout, values)
-    stage_line = _state_renderer(circuit.layout, "stage %d: ")
-    number = itertools.count(1)
-    write = sys.stdout.write
+    trace = None
+    if args.trace:
+        # `run` calls `trace` once per item of `circuit.stages()`, in order, so
+        # walking them in step names the lines a stage may have changed. Each
+        # line maps to its register's index in print order, not to a 1 << bit
+        # mask: a table of masks would take O(width^2) bytes.
+        order, template = _print_order(circuit.layout)
+        template = "stage %d: " + template + "\n"  # print() writes twice
+        regs = [sim._bits_value(state[r.start:r.end]) for r in order]
+        starts = [r.start for r in order]
+        owner = [0] * circuit.width
+        for index, r in enumerate(order):
+            owner[r.start:r.end] = [index] * r.size
+        seen = list(state)
+        stages = circuit.stages()
+        number = itertools.count(1)
+        write = sys.stdout.write
 
-    def show(stage_state):  # each stage prints as the run reaches it; none is kept
-        write(stage_line(stage_state, next(number)) + "\n")  # print() writes twice
+        def trace(live):  # each stage prints as the run reaches it; none is kept
+            for gate in next(stages):
+                for line in gate.lines:
+                    if live[line] != seen[line]:
+                        seen[line] = live[line]
+                        index = owner[line]
+                        regs[index] ^= 1 << line - starts[index]
+            write(template % (next(number), *regs))
 
-    final = sim.run(circuit, state, trace=show if args.trace else None)
+    final = sim.run(circuit, state, trace=trace)
     print(_state_renderer(circuit.layout)(final))
     return 0
 

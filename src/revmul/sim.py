@@ -55,9 +55,10 @@ def run(circuit: Circuit, state: list[int], trace=None) -> list[int]:
     state[line] is an int whose bit k is that line's value in lane k, so one
     call carries as many independent basis states as the ints have bits. A
     list of 0/1 values is the one-lane case: one basis state in, one out.
-    If trace is given, trace(state) is called at each stage boundary, in the
-    same gate loop, with the live state: `run` keeps no copy, so a caller
-    that wants to keep a stage's state must copy it.
+    If trace is given, trace(state) is called once per item of
+    `circuit.stages()`, in order, after that stage's gates, in the same gate
+    loop, with the live state: `run` keeps no copy, so a caller that wants
+    to keep a stage's state must copy it.
     """
     if len(state) != circuit.width:
         raise ValueError(f"state has {len(state)} bits, circuit width is {circuit.width}")

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import functools
 import gc
+import io
 import os
 import random
 import re
@@ -12,12 +13,15 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import revmul
 from revmul import analysis, cli, io as revio, sim, synth
 from revmul.circuit import Circuit, Register, RegisterLayout
 from revmul.cli import MAX_GATES, main
 from revmul.gates import CNOT, SWAP, TOFFOLI, Gate
+from strategies import valid_circuits
 
 
 def test_build_mul_writes_netlist(tmp_path, capsys):
@@ -315,6 +319,37 @@ def test_sim_stdout_matches_the_reference_renderer(name, trace, tmp_path, capsys
     assert printed.splitlines(keepends=True) == want.splitlines(keepends=True)
     if trace and name == "no_gates":
         assert printed.count("\n") == 1  # no stage line, only the final state
+
+
+def _wide_circuit():
+    # a 70-line register, whose values take several 30-bit int digits, with
+    # marked stages and an unmarked tail
+    circ = Circuit(RegisterLayout([Register("W", 0, 70), Register("P", 70, 3, 0)]))
+    for kind, lines in [(TOFFOLI, (0, 69, 70)), (SWAP, (1, 68)), (CNOT, (35, 71)), (SWAP, (2, 72))]:
+        circ.append(Gate(kind, lines))
+        circ.mark_stage()
+    for kind, lines in [(CNOT, (70, 64)), (SWAP, (0, 72)), (TOFFOLI, (71, 72, 33))]:
+        circ.append(Gate(kind, lines))
+    return circ
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuit=valid_circuits(), seed=st.integers(0, 2**32 - 1), trace=st.booleans())
+@example(circuit=_wide_circuit(), seed=1, trace=True)
+@example(circuit=_unmarked_tail(), seed=2, trace=True)
+@example(circuit=SIM_CIRCUITS["no_gates"](), seed=3, trace=True)
+def test_sim_stdout_matches_the_reference_on_random_circuits(circuit, seed, trace, tmp_path_factory):
+    # `--set NAME=VALUE` splits at the first "=", so such a name cannot be set
+    assume(all("=" not in r.name for r in circuit.layout.registers))
+    rng = random.Random(seed)
+    values = {r.name: rng.getrandbits(r.size) for r in circuit.layout.registers
+              if not r.is_ancilla or rng.getrandbits(1)}
+    path = tmp_path_factory.mktemp("sim") / "circuit.rev"
+    path.write_text(revio.write_netlist(circuit), encoding="utf-8")
+    argv = ["sim", str(path)] + [f"--set={k}={v}" for k, v in values.items()]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv + (["--trace"] if trace else [])) == 0
+    assert out.getvalue() == reference_sim_stdout(circuit, values, trace)
 
 
 def slice_state_renderer(layout):
@@ -853,6 +888,17 @@ def test_wide_register_renders_as_the_slice_renderer_inside_main(tmp_path, capsy
         # as a list, so that a failure reports the first differing line and
         # pytest does not diff two 6,000-digit strings character by character
         assert printed.splitlines() == [slice_state_renderer(circuit.layout)(final)]
+
+
+def test_traced_sim_memory_is_linear_in_the_width(tmp_path):
+    path = tmp_path / "ror.rev"
+    path.write_text(revio.write_netlist(synth.build_ror(WIDE)))
+    argv = ["sim", str(path), "--set", f"P={random.Random(5).getrandbits(WIDE):#x}"]
+    untraced = _sim_peak_bytes(argv)
+    traced = _sim_peak_bytes(argv + ["--trace"])
+    # the printer's per-line table and copy of the bits hold one pointer per
+    # line each; a table of 1 << bit masks would take about 25 MB here
+    assert traced - untraced < 64 * WIDE
 
 
 def _drop_last_gate(circuit):

@@ -130,11 +130,19 @@ def _trailing_gates():
 def test_run_trace_gets_the_live_state_once_per_stage(circ):
     rng = random.Random(5)
     state = [rng.getrandbits(1) for _ in range(circ.width)]
-    calls = []
-    final = run(circ, state, trace=calls.append)
+    calls, copies = [], []
+    final = run(circ, state, trace=lambda v: (calls.append(v), copies.append(list(v))))
     assert len(calls) == circ.stage_count
     assert all(seen is final for seen in calls)  # one list, never copied
     assert final == run(circ, state)
+    # call k comes after the gates of the first k items of `circ.stages()`
+    # and before any later gate: `sim --trace` walks the stages in step
+    expected = state
+    for copy, stage in itertools.zip_longest(copies, circ.stages()):
+        part = Circuit(circ.layout)
+        part.gates.extend(stage)
+        expected = run(part, expected)
+        assert copy == expected
 
 
 def test_run_is_a_permutation_at_small_width():
