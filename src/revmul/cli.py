@@ -158,7 +158,7 @@ def cmd_sim(args) -> int:
         circuit = revio.parse_netlist(handle.read())
     values = {}
     for item in args.set or []:
-        name, eq, raw = item.partition("=")
+        name, eq, raw = item.rpartition("=")
         if not eq or not name:
             raise ValueError(f"input assignment must look like NAME=VALUE, got {_shown(item)}")
         values[name] = _integer(raw, f"the value of register {_shown(name, str)}")

@@ -14,9 +14,10 @@ into one `run` call: a batch gets the largest power of two of lanes whose
 lane ints, one per line, fit in BATCH_BITS bits; each verifier's `drive`
 alone says which bit of a case's index each line carries. The references are
 bit-sliced too: each verifier computes the wanted exit state of a whole batch
-on the same lane ints (for the multiplier, a schoolbook product cross-checked
-against `_lane_add_and_rotate`, the add-and-rotate recurrence whose one-lane
-case is `oracle_multiply`), so a sweep does no Python work per case, and an
+on the same lane ints (for the multiplier, a schoolbook product, which reads
+no schedule, cross-checked against `_lane_add_and_rotate`, which runs the
+`synth._schedule` the builder stamps and whose one-lane case is
+`oracle_multiply`), so a sweep does no Python work per case, and an
 exhaustive sweep does not even build its cases one by one. Nor does a seeded
 multiplier sweep at n <= 31 on CPython: `_word_pair_batches` reads its pairs
 from the generator's 32-bit words in bulk, the pairs `randrange` would draw.
@@ -32,7 +33,8 @@ from functools import reduce
 
 from .circuit import _MAX_SHOWN_CHARS, Circuit, RegisterLayout, _shown
 from .gates import FREDKIN, SWAP, TOFFOLI
-from .synth import build_controlled_ror, build_multiplier, build_ror, multiplier_layout
+from .synth import (ADDNOP, _schedule, build_controlled_ror, build_multiplier, build_ror,
+                    multiplier_layout)
 
 MAX_COUNTEREXAMPLES = 16
 # Most lanes x lines in one sweep batch: a wider circuit gets fewer lanes per
@@ -145,24 +147,20 @@ def oracle_multiply(n: int, a: int, b: int) -> int:
         raise ValueError(f"operand a={a} out of range for {n} bits")
     if not 0 <= b < (1 << n):
         raise ValueError(f"operand b={b} out of range for {n} bits")
-    p = _lane_add_and_rotate([a >> i & 1 for i in range(n)], [b >> i & 1 for i in range(n)])
-    return _bits_value(p)
+    bits = [[x >> i & 1 for i in range(n)] for x in (a, b)]
+    return _bits_value(_lane_add_and_rotate(_schedule(multiplier_layout(n)), *bits))
 
 
-def _ripple_add(p: list[int], start: int, a_bit: int, b: list[int]) -> int:
+def _ripple_add(p: list[int], start: int, a_bit: int, b: list[int]) -> None:
     # Bit-sliced: add a_bit & b into the lane ints p[start : start+len(b)+1]
-    # in place, one full adder per bit of b; return the lanes whose carry
-    # leaves the top of that slice.
+    # in place, one full adder per bit of b; a carry out of the top is lost.
     carry = 0
     for k, b_bit in enumerate(b, start):
         x, y = p[k], a_bit & b_bit
         t = x ^ y
         p[k] = t ^ carry
         carry = x & y | t & carry
-    top = start + len(b)
-    overflow = p[top] & carry
-    p[top] ^= carry
-    return overflow
+    p[start + len(b)] ^= carry
 
 
 def _lane_product(a: list[int], b: list[int]) -> list[int]:
@@ -174,18 +172,18 @@ def _lane_product(a: list[int], b: list[int]) -> list[int]:
     return p
 
 
-def _lane_add_and_rotate(a: list[int], b: list[int]) -> list[int]:
-    """The add-and-rotate recurrence on lane-packed operands: each window add
-    is a ripple add into P[n-1 : 2n], whose top bit the schedule keeps clear,
-    and each rotate right is `oracle_rotate_right` of the list of lane ints."""
-    n = len(a)
-    p = [0] * (2 * n)
-    for i, a_bit in enumerate(a):
-        overflow = _ripple_add(p, n - 1, a_bit, b)
-        assert not overflow, "window overflow: carry slot was not clear"
-        if i < n - 1:
-            p = oracle_rotate_right(p)
-    return p
+def _lane_add_and_rotate(steps: list[tuple], a: list[int], b: list[int]) -> list[int]:
+    """The add-and-rotate recurrence on lane-packed operands: `steps`, the
+    multiplier's `_schedule`, run on one lane int per line (A, B, then P),
+    with each window's top line asserted clear on entry. Returns P's lanes."""
+    v = a + b + [0] * (2 * len(a))
+    for kind, _, *control, lines in steps:
+        if kind == ADDNOP:
+            assert not v[lines[-1]], "window overflow: carry slot was not clear"
+            _ripple_add(v, lines.start, v[control[0]], b)
+        else:
+            v.insert(lines.stop - 1, v.pop(lines.start))
+    return v[len(a) + len(b) :]
 
 
 @dataclass
@@ -352,10 +350,18 @@ def verify_multiplier(
     if circuit is not None and circuit.layout != multiplier_layout(n):
         raise ValueError(f"circuit layout {circuit.layout!r} is not the n={n} multiplier's")
 
+    steps = []  # filled by build, once `_sweep` has checked the arguments
+
+    def build():
+        built = build_multiplier(n) if circuit is None else circuit
+        steps.extend(_schedule(built.layout))
+        return built
+
     def want(state):
         a, b = state[:n], state[n : 2 * n]
         product = _lane_product(a, b)
-        disagree = reduce(operator.or_, map(operator.xor, product, _lane_add_and_rotate(a, b)), 0)
+        model = _lane_add_and_rotate(steps, a, b)
+        disagree = reduce(operator.or_, map(operator.xor, product, model), 0)
         return a + b + product + [0], disagree  # lines A, B, P, then Zcin = 0
 
     def explain(entry, out, expected):
@@ -381,7 +387,7 @@ def verify_multiplier(
         count,
         seed,
         f"exhaustive verification is limited to n <= {limit}" if n > limit else None,
-        lambda: build_multiplier(n) if circuit is None else circuit,
+        build,
         # pair (a, b) is case a * 2^n + b: B takes the low index bits
         [*range(n, 2 * n), *range(n), *[None] * (2 * n + 1)],
         draw,

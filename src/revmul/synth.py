@@ -7,6 +7,8 @@ block (add B into a window of P when one multiplier qubit is set, do nothing
 otherwise) and a constant-depth rotate-right-by-one network.
 """
 
+from collections.abc import Sequence
+
 from .circuit import Circuit, Register, RegisterLayout
 from .gates import FREDKIN, SWAP, TOFFOLI, Gate
 
@@ -46,7 +48,7 @@ def _ror_layout(width: int, controlled: bool) -> RegisterLayout:
     return RegisterLayout([Register("P", 0, width), *control])
 
 
-def _addnop_stages(a: int, b: list[int], w: list[int], z: int) -> list[list[Gate]]:
+def _addnop_stages(a: int, b: Sequence[int], w: Sequence[int], z: int) -> list[list[Gate]]:
     """Stages of the controlled add of the n-line register b into the
     (n+1)-line window w.
 
@@ -90,7 +92,7 @@ def _addnop_stages(a: int, b: list[int], w: list[int], z: int) -> list[list[Gate
     return stages
 
 
-def _ror_stages(lines: list[int]) -> list[list[Gate]]:
+def _ror_stages(lines: Sequence[int]) -> list[list[Gate]]:
     """Two layers of disjoint swaps realizing rotate-right-by-one over k
     lines: k // 2 swaps, then (k - 1) // 2, so a span of 2 is one swap."""
     k = len(lines)
@@ -142,16 +144,16 @@ def build_controlled_ror(width: int) -> Circuit:
     return _circuit(layout, ([Gate(FREDKIN, (width, i, i + 1))] for i in range(width - 1)))
 
 
-def _multiplier_blocks(n: int) -> list[tuple[str, int, range, range]]:
-    """The n x n multiplier's blocks in circuit order, as (kind, m, gate
-    indices, stage indices): ADD/NOP m, 4n+1 gates in 3n+2 stages, and after
-    every ADD/NOP but the last, rotate m, 2n-1 swaps in 2 stages."""
-    blocks = []
-    for m in range(n):
-        g, s = 6 * n * m, (3 * n + 4) * m  # where pair m starts
-        blocks += [(ADDNOP, m, range(g, g + 4 * n + 1), range(s, s + 3 * n + 2)),
-                   (ROR, m, range(g + 4 * n + 1, g + 6 * n), range(s + 3 * n + 2, s + 3 * n + 4))]
-    return blocks[:-1]  # no rotate after the last ADD/NOP
+def _schedule(layout: RegisterLayout) -> list[tuple]:
+    """The multiplier's steps over `layout` in circuit order: for each m,
+    (ADDNOP, m, A[m]'s line, the top n+1 lines of P), then, but after the
+    last, (ROR, m, P's lines). Lines are ranges, so a step hashes in O(1)."""
+    a, p = layout["A"], layout["P"].lines
+    window = p[-(a.size + 1):]
+    steps = []
+    for m in range(a.size):
+        steps += [(ADDNOP, m, a.line(m), window), (ROR, m, p)]
+    return steps[:-1]  # no rotate after the last ADD/NOP
 
 
 def build_multiplier(n: int) -> Circuit:
@@ -162,27 +164,27 @@ def build_multiplier(n: int) -> Circuit:
     rotate unnecessary. P exits holding A*B, A and B exit unchanged and Zcin
     exits 0, so no output is garbage.
 
-    The blocks go where `_multiplier_blocks` puts them, each stamped from the
-    first of its kind. ADD/NOP m differs from ADD/NOP 0 only in the first
+    Each step of `_schedule` is stamped from the first step of its kind over
+    the same lines. An ADD/NOP differs from its template only in the first
     line of each Toffoli, its control A[m], and no other gate touches an A
     line, so each copy keeps the template's range and stage disjointness.
     """
     layout = multiplier_layout(n)
-    a, p = layout["A"], list(layout["P"].lines)
-    b, window, z = list(layout["B"].lines), p[-(n + 1):], layout["Zcin"].start
+    b, z = layout["B"].lines, layout["Zcin"].start
     circ, templates = Circuit(layout), {}
     gates, marks = circ.gates, circ.stage_marks
-    for kind, m, span, _ in _multiplier_blocks(n):
-        if m == 0:  # the first of its kind keeps its own gates and is the template of the rest
-            stages = _addnop_stages(a.start, b, window, z) if kind == ADDNOP else _ror_stages(p)
+    for kind, _, *control, lines in _schedule(layout):
+        if fresh := (kind, lines) not in templates:  # the first of its kind and lines
+            stages = _addnop_stages(*control, b, lines, z) if kind == ADDNOP else _ror_stages(lines)
             block = _circuit(layout, stages)
-            lines = [g.lines for g in block.gates]
+            kinds, gate_lines = [g.kind for g in block.gates], [g.lines for g in block.gates]
             toffolis = [(i, g.lines[1:]) for i, g in enumerate(block.gates) if g.kind == TOFFOLI]
-            templates[kind] = block, [g.kind for g in block.gates], lines, toffolis
-        block, kinds, lines, toffolis = templates[kind]
-        control = (a.line(m),)
+            templates[kind, lines] = block, kinds, gate_lines, toffolis
+        block, kinds, gate_lines, toffolis = templates[kind, lines]
+        control = tuple(control)
         for i, tail in toffolis:
-            lines[i] = control + tail
-        gates.extend(block.gates if m == 0 else map(Gate, kinds, lines))
-        marks.extend([span.start + mark for mark in block.stage_marks])
+            gate_lines[i] = control + tail
+        start = len(gates)
+        gates.extend(block.gates if fresh else map(Gate, kinds, gate_lines))
+        marks.extend([start + mark for mark in block.stage_marks])
     return circ

@@ -25,7 +25,7 @@ from revmul import (
     verify_rotate,
     write_netlist,
 )
-from revmul import sim
+from revmul import sim, synth
 from revmul.circuit import Circuit
 from revmul.gates import ARITY, CNOT, FREDKIN, KIND_ORDER, SWAP, TOFFOLI, Gate
 
@@ -910,8 +910,9 @@ def test_bit_sliced_references_equal_per_pair_products(data):
     b = pack_lanes([b for _, b in pairs], n)
     # against native products: `oracle_multiply` is `_lane_add_and_rotate` on one lane
     products = [a * b for a, b in pairs]
+    steps = synth._schedule(multiplier_layout(n))
     assert unpack_lanes(sim._lane_product(a, b), len(pairs)) == products
-    assert unpack_lanes(sim._lane_add_and_rotate(a, b), len(pairs)) == products
+    assert unpack_lanes(sim._lane_add_and_rotate(steps, a, b), len(pairs)) == products
 
 
 @pytest.mark.parametrize(
@@ -960,8 +961,8 @@ def test_exhaustive_lane_patterns_up_to_2_20_lanes():
 
 def test_a_broken_recurrence_fails_exactly_the_pairs_it_breaks(monkeypatch):
     # flip product bit 0 of the recurrence in the lanes where a and b are odd
-    def broken(a, b):
-        p = real(a, b)
+    def broken(steps, a, b):
+        p = real(steps, a, b)
         p[0] ^= a[0] & b[0]
         return p
 
@@ -989,4 +990,34 @@ def test_a_broken_recurrence_fails_exactly_the_pairs_it_breaks(monkeypatch):
     assert 0 < len(examples(8, pairs)) < sim.MAX_COUNTEREXAMPLES
     assert report == VerifyReport(
         ok=False, checked=40, mode="random", seed=12, counterexamples=examples(8, pairs)
+    )
+
+
+def test_a_schedule_the_builder_and_model_share_cannot_certify_itself(monkeypatch):
+    # ADD/NOP 0 and ADD/NOP 1 swap their controls: builder and recurrence
+    # then agree on a' * b, a with bits 0 and 1 swapped, but the schoolbook
+    # product reads no schedule
+    def swapped(layout):
+        steps = real(layout)
+        (add0, m0, c0, w0), ror, (add1, m1, c1, w1), *rest = steps
+        return [(add0, m0, c1, w0), ror, (add1, m1, c0, w1), *rest]
+
+    real = synth._schedule
+    monkeypatch.setattr(synth, "_schedule", swapped)
+    monkeypatch.setattr(sim, "_schedule", swapped)
+    twisted = {a: a & ~3 | (a & 1) << 1 | a >> 1 & 1 for a in range(8)}
+    assert oracle_multiply(3, 1, 1) == 2 and oracle_multiply(3, 5, 3) == 18
+    # pairs run a-major: a = 1 and 2 fail for every b > 0, a = 3 and 4 never
+    # do, and a = 5 fills the last two of the 16 slots
+    wrong = [(a, b) for a in range(8) for b in range(8) if twisted[a] * b != a * b]
+    expected = [
+        {"a": a, "b": b, "expected": {"P": a * b, "A": a, "B": b, "Zcin": 0},
+         "got": {"P": twisted[a] * b, "A": a, "B": b, "Zcin": 0}}
+        for a, b in wrong[: sim.MAX_COUNTEREXAMPLES]
+    ]
+    assert [(e["a"], e["b"]) for e in expected] == [
+        *((1, b) for b in range(1, 8)), *((2, b) for b in range(1, 8)), (5, 1), (5, 2)
+    ]
+    assert verify_multiplier(3) == VerifyReport(
+        ok=False, checked=64, mode="exhaustive", counterexamples=expected
     )

@@ -17,7 +17,7 @@ from revmul.circuit import Circuit
 from revmul.gates import FREDKIN, SWAP, TOFFOLI, Gate
 from revmul.io import write_netlist
 from revmul.analysis import formula_metrics
-from revmul.synth import ADDNOP, ROR, _addnop_stages, _multiplier_blocks, _ror_stages, multiplier_layout
+from revmul.synth import ADDNOP, ROR, _addnop_stages, _ror_stages, _schedule, multiplier_layout
 
 
 # ---------------------------------------------------------------- ADD/NOP
@@ -218,43 +218,57 @@ def test_multiplier_rejects_bad_n():
         build_multiplier(0)
 
 
+def schedule_spans(n):
+    """The built n x n multiplier, and each step of its schedule with the
+    step's gate and stage indices, counted from the step kinds: an ADD/NOP of
+    k-1 lines of B into a k-line window is 4(k-1)+1 gates in 3(k-1)+2
+    stages, a rotate of k lines k-1 swaps in 2 stages (1 at k = 2)."""
+    circ = build_multiplier(n)
+    spans, gate, stage = [], 0, 0
+    for step in _schedule(circ.layout):
+        k = len(step[-1])
+        gates, stages = (4 * k - 3, 3 * k - 1) if step[0] == ADDNOP else (k - 1, 2 if k > 2 else 1)
+        spans.append((step, range(gate, gate + gates), range(stage, stage + stages)))
+        gate, stage = gate + gates, stage + stages
+    return circ, spans
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_carry_slot_clear_at_every_adder_entry(n):
     # the rotate schedule must hand every embedded adder a clear top window
     # line, the precondition under which its carry-out store is exact
-    circ = build_multiplier(n)
+    circ, spans = schedule_spans(n)
     layout = circ.layout
-    top = layout["P"].line(2 * n - 1)
-    prefixes = []  # the gates before each adder's entry
-    for kind, _, gates, _ in _multiplier_blocks(n):
+    entries = []  # each adder's top window line and the gates before its entry
+    for (kind, *_, window), gates, _ in spans:
         if kind == ADDNOP:
             prefix = Circuit(layout)
             for gate in circ.gates[: gates.start]:
                 prefix.append(gate)
-            prefixes.append(prefix)
-    assert len(prefixes) == n
+            entries.append((window[-1], prefix))
+    assert len(entries) == n
 
     for a, b in itertools.product(range(1 << n), repeat=2):
         state = pack_state(layout, {"A": a, "B": b})
-        for prefix in prefixes:
+        for top, prefix in entries:
             assert run(prefix, state)[top] == 0
         assert register_value(layout, run(circ, state), "P") == a * b
 
 
 @pytest.mark.parametrize("n", [*range(1, 41), 64, 128])
-def test_block_map_tiles_the_built_multiplier(n):
-    circ = build_multiplier(n)
-    a, p = circ.layout["A"], circ.layout["P"]
-    blocks = _multiplier_blocks(n)
-    assert [(kind, m) for kind, m, _, _ in blocks] == [
+def test_schedule_tiles_the_built_multiplier(n):
+    circ, spans = schedule_spans(n)
+    a, b, p, z = (circ.layout[name] for name in ("A", "B", "P", "Zcin"))
+    assert [(kind, m) for (kind, m, *_), _, _ in spans] == [
         (kind, m) for m in range(n) for kind in (ADDNOP, ROR) if kind == ADDNOP or m < n - 1
     ]
-    assert [i for _, _, gates, _ in blocks for i in gates] == list(range(len(circ.gates)))
-    assert [i for _, _, _, stages in blocks for i in stages] == list(range(len(circ.stage_marks)))
-    assert blocks[-1][2].stop == formula_metrics("mul", n).gate_count
-    for kind, m, gates, stages in blocks:
-        assert circ.stage_marks[stages[-1]] == gates.stop, (kind, m)  # the block ends on a mark
+    assert [i for _, gates, _ in spans for i in gates] == list(range(len(circ.gates)))
+    assert [i for _, _, stages in spans for i in stages] == list(range(len(circ.stage_marks)))
+    assert spans[-1][1].stop == formula_metrics("mul", n).gate_count
+    for (kind, m, *control, lines), gates, stages in spans:
+        assert circ.stage_marks[stages[-1]] == gates.stop, (kind, m)  # the step ends on a mark
         block = circ.gates[gates.start:gates.stop]
+        touched = {line for g in block for line in g.lines}
         if kind == ADDNOP:
             assert len(block) == 4 * n + 1 and len(stages) == 3 * n + 2, (kind, m)
             toffolis = [g for g in block if g.kind == TOFFOLI]
@@ -262,9 +276,11 @@ def test_block_map_tiles_the_built_multiplier(n):
             assert len(toffolis) == 2 * n + 1 and len(fredkins) == 2 * n, (kind, m)
             assert all(g.lines[0] == a.line(m) for g in toffolis), (kind, m)
             assert not any(line in a.lines for g in fredkins for line in g.lines), (kind, m)
+            assert touched == {*control, *b.lines, *lines, z.start}, (kind, m)
         else:
             assert len(block) == 2 * n - 1 and len(stages) == 2, (kind, m)
             assert all(g.kind == SWAP and all(line in p.lines for line in g.lines) for g in block), (kind, m)
+            assert touched == set(lines), (kind, m)
 
 
 def test_multiplier_stage_count():
@@ -286,17 +302,13 @@ def checked(layout, stages):
 
 
 def reference_multiplier(n):
-    """The multiplier emitted block by block through the checked path."""
+    """The multiplier emitted step by step from its schedule through the
+    checked path."""
     layout = multiplier_layout(n)
-    b = list(layout["B"].lines)
-    p = list(layout["P"].lines)
-    window = p[-(n + 1):]
-    z = layout["Zcin"].start
+    b, z = layout["B"].lines, layout["Zcin"].start
     stages = []
-    for m in range(n):
-        if m:
-            stages += _ror_stages(p)
-        stages += _addnop_stages(layout["A"].line(m), b, window, z)
+    for kind, _, *control, lines in _schedule(layout):
+        stages += _addnop_stages(*control, b, lines, z) if kind == ADDNOP else _ror_stages(lines)
     return checked(layout, stages)
 
 
