@@ -114,28 +114,6 @@ def _flag_int(raw: str) -> int:
     return value
 
 
-def _print_order(layout):
-    """The registers in print order, the result register first and the rest
-    in layout order, and the "NAME=%d ..." template that prints their values
-    (a `%` in a name is escaped as `%%`)."""
-    order = sorted(layout.registers, key=lambda r: r.name != "P")
-    return order, " ".join([f"{r.name.replace('%', '%%')}=%d" for r in order])
-
-
-def _state_renderer(layout):
-    """A function `render(state)` that renders a one-lane state as
-    "NAME=value ...", in `_print_order`. The register shifts and masks are
-    resolved once; each state is decoded to one integer."""
-    order, template = _print_order(layout)
-    fields = [(r.start, (1 << r.size) - 1) for r in order]
-
-    def render(state) -> str:
-        x = sim._bits_value(state)
-        return template % tuple([x >> start & mask for start, mask in fields])
-
-    return render
-
-
 def cmd_build(args) -> int:
     size = _size(args)
     circuit = _BLOCKS[args.block].build(size)
@@ -162,16 +140,19 @@ def cmd_sim(args) -> int:
         if not eq or not name:
             raise ValueError(f"input assignment must look like NAME=VALUE, got {_shown(item)}")
         values[name] = _integer(raw, f"the value of register {_shown(name, str)}")
-    state = sim.pack_state(circuit.layout, values)
+    layout = circuit.layout
+    state = sim.pack_state(layout, values)
+    # print order: the result register first, then layout order; a `%` in a
+    # name is escaped as `%%` in the template that prints their values
+    order = sorted(layout.registers, key=lambda r: r.name != "P")
+    template = " ".join([f"{r.name.replace('%', '%%')}=%d" for r in order])
     trace = None
     if args.trace:
         # `run` calls `trace` once per item of `circuit.stages()`, in order, so
         # walking them in step names the lines a stage may have changed. Each
         # line maps to its register's index in print order, not to a 1 << bit
         # mask: a table of masks would take O(width^2) bytes.
-        order, template = _print_order(circuit.layout)
-        template = "stage %d: " + template + "\n"  # print() writes twice
-        regs = [sim._bits_value(state[r.start:r.end]) for r in order]
+        regs = [sim.register_value(layout, state, r.name) for r in order]
         starts = [r.start for r in order]
         owner = [0] * circuit.width
         for index, r in enumerate(order):
@@ -180,6 +161,7 @@ def cmd_sim(args) -> int:
         stages = circuit.stages()
         number = itertools.count(1)
         write = sys.stdout.write
+        line_template = "stage %d: " + template + "\n"  # print() writes twice
 
         def trace(live):  # each stage prints as the run reaches it; none is kept
             for gate in next(stages):
@@ -188,10 +170,10 @@ def cmd_sim(args) -> int:
                         seen[line] = live[line]
                         index = owner[line]
                         regs[index] ^= 1 << line - starts[index]
-            write(template % (next(number), *regs))
+            write(line_template % (next(number), *regs))
 
     final = sim.run(circuit, state, trace=trace)
-    print(_state_renderer(circuit.layout)(final))
+    print(template % tuple([sim.register_value(layout, final, r.name) for r in order]))
     return 0
 
 

@@ -8,6 +8,8 @@ simulates every lane at once. `run` is the only gate kernel. Given a
 `trace` callable, it hands that callable the live state at each stage
 boundary without copying it, so a traced run's memory is O(width) however
 many stages it has; a caller that keeps a stage's state must copy it.
+One codec converts register values, in one pass per register: `pack_state`
+encodes with `_value_bits` and `register_value` decodes with `_bits_value`.
 
 Both verifiers share one sweep, `_sweep`, which packs each batch of cases
 into one `run` call: a batch gets the largest power of two of lanes whose
@@ -43,6 +45,7 @@ BATCH_BITS = 1 << 22
 EXHAUSTIVE_MULTIPLIER_LIMIT = 13  # 2^26 pairs, about 3 s; beyond that use randomized mode
 EXHAUSTIVE_ROTATE_LIMIT = 26  # 2^27 states for cror, about 0.5 s; beyond that use randomized mode
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # bit values -> binary digits
+_BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits -> bit values
 # The widest operands whose seeded pairs `_word_pair_batches` draws: on CPython,
 # randrange(2^n) for n <= 31 takes one 32-bit Mersenne Twister word per try,
 # and an array("I") item holds one word; elsewhere every width draws per pair.
@@ -91,7 +94,8 @@ def pack_state(layout: RegisterLayout, values: dict[str, int]) -> list[int]:
 
     Every data register must be assigned. Ancilla registers default to their
     declared constant but may be overridden, e.g. to drive a block in
-    isolation with a non-trivial window.
+    isolation with a non-trivial window. Each register is encoded in one
+    pass, by `_value_bits`, the inverse of `register_value`'s `_bits_value`.
     """
     unknown = set(values) - {r.name for r in layout.registers}
     if unknown:
@@ -111,14 +115,18 @@ def pack_state(layout: RegisterLayout, values: dict[str, int]) -> list[int]:
             value = -reg.const & ((1 << reg.size) - 1)  # constant replicated per line
         else:
             raise ValueError(f"missing value for data register {_shown(reg.name, str)}")
-        for bit in range(reg.size):
-            bits[reg.start + bit] = (value >> bit) & 1
+        bits[reg.start : reg.end] = _value_bits(value, reg.size)
     return bits
 
 
 def _bits_value(bits) -> int:
     """The integer whose binary digits, least significant first, are `bits`."""
     return int(bytearray(bits)[::-1].translate(_DIGITS), 2)
+
+
+def _value_bits(value: int, size: int) -> bytes:
+    """The `size` bits of `value`, least significant first, as 0/1 bytes."""
+    return format(value, f"0{size}b")[::-1].encode().translate(_BITS)
 
 
 def register_value(layout: RegisterLayout, state: list[int], name: str) -> int:
@@ -147,7 +155,7 @@ def oracle_multiply(n: int, a: int, b: int) -> int:
         raise ValueError(f"operand a={a} out of range for {n} bits")
     if not 0 <= b < (1 << n):
         raise ValueError(f"operand b={b} out of range for {n} bits")
-    bits = [[x >> i & 1 for i in range(n)] for x in (a, b)]
+    bits = [list(_value_bits(x, n)) for x in (a, b)]
     return _bits_value(_lane_add_and_rotate(_schedule(multiplier_layout(n)), *bits))
 
 

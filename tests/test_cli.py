@@ -385,12 +385,21 @@ def slice_state_renderer(layout):
         *(synth.multiplier_layout(n) for n in (1, 2, 3, 4, 6, 7, 8, 300)),
     ],
 )
-def test_state_renderer_matches_register_value(layout):
-    render, sliced = cli._state_renderer(layout), slice_state_renderer(layout)
+def test_state_renderer_matches_register_value(layout, tmp_path, capsys):
+    # `sim` of a gateless netlist prints back the state that `--set` gives
+    # every register, ancillas included
+    path = tmp_path / "gateless.rev"
+    path.write_text(revio.write_netlist(Circuit(layout)))
+    sliced = slice_state_renderer(layout)
     rng = random.Random(3)
     for _ in range(50):
         state = [rng.getrandbits(1) for _ in range(layout.width)]
-        assert render(state) == reference_format_state(layout, state) == sliced(state)
+        argv = ["sim", str(path)] + [
+            f"--set={r.name}={sim.register_value(layout, state, r.name)}" for r in layout.registers
+        ]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert printed == reference_format_state(layout, state) + "\n" == sliced(state) + "\n"
 
 
 def _sim_peak_bytes(argv):

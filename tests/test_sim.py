@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revmul import (
@@ -28,6 +28,7 @@ from revmul import (
 from revmul import sim, synth
 from revmul.circuit import Circuit
 from revmul.gates import ARITY, CNOT, FREDKIN, KIND_ORDER, SWAP, TOFFOLI, Gate
+from strategies import valid_circuits
 
 
 # ---------------------------------------------------------------- gate semantics
@@ -453,6 +454,53 @@ def test_pack_state_ancilla_default_and_override():
     assert register_value(layout, state, "P") == 0
     state = pack_state(layout, {"A": 1, "B": 2, "P": 5})
     assert register_value(layout, state, "P") == 5
+
+
+def per_bit_pack_state(layout, values):
+    """`pack_state` as it was before its one-pass encoder, without its checks:
+    each register filled by shifting its value once per bit."""
+    bits = [0] * layout.width
+    for reg in layout.registers:
+        if reg.name in values:
+            value = values[reg.name]
+        else:
+            value = -reg.const & ((1 << reg.size) - 1)
+        for bit in range(reg.size):
+            bits[reg.start + bit] = (value >> bit) & 1
+    return bits
+
+
+def data_and_ancilla(width, const):
+    """A data register and an ancilla of `width` lines each."""
+    return RegisterLayout([Register("D", 0, width), Register("Z", width, width, const)])
+
+
+# one 30-bit int digit, two, their edges, and a register as wide as MAX_QUBITS
+CODEC_WIDTHS = (1, 30, 31, 60, 61, 65_536)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    layout=st.one_of(
+        valid_circuits().map(lambda circuit: circuit.layout),
+        st.builds(data_and_ancilla, st.sampled_from(CODEC_WIDTHS), st.integers(0, 1)),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(layout=data_and_ancilla(65_536, 1), seed=4)  # Z left at its constant
+@example(layout=data_and_ancilla(65_536, 0), seed=0)  # Z overridden
+def test_pack_state_and_register_value_are_one_codec(layout, seed):
+    rng = random.Random(seed)
+    values = {r.name: rng.getrandbits(r.size) for r in layout.registers
+              if not r.is_ancilla or rng.getrandbits(1)}
+    state = pack_state(layout, values)
+    assert type(state) is list and state == per_bit_pack_state(layout, values)
+    for reg in layout.registers:
+        if reg.name in values:
+            assert register_value(layout, state, reg.name) == values[reg.name]
+        else:  # an ancilla left at its default holds its constant on every line
+            assert state[reg.start : reg.end] == [reg.const] * reg.size
+            assert register_value(layout, state, reg.name) == -reg.const & ((1 << reg.size) - 1)
 
 
 # ---------------------------------------------------------------- lane packing against a reference
