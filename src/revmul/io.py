@@ -107,6 +107,7 @@ def _parse_int(token: str, what: str, lineno: int) -> int:
 
 
 _SEPARATOR = object()  # what a `---` line parses to
+_KINDS = {kind: kind for kind in ARITY}  # a gate mnemonic -> the `gates` module's string for it
 
 
 def _slices(text: str):
@@ -205,16 +206,22 @@ def parse_netlist(text: str) -> Circuit:
     `Gate` checks and the range check, which it passed against the same
     width. Every gate line still counts toward MAX_GATES. A new gate line
     looks its tokens up in a memo that holds only line indices in [0, width),
-    so a line of known tokens needs no range check. On a token not in the
-    memo, each new token is converted by `_parse_int`, the first bad one
-    first, then come the `Gate` checks, then the range check, which yields to
-    the MAX_GATES check; the in-range tokens join the memo, and the gates
-    share their ints. Each gate adds its lines to one list, which a `---`
-    checks as `Circuit.mark_stage` does: not empty, no line twice. A list
-    longer than the width must repeat a line, so at the end of a slice such a
-    list is dropped and the clash kept for the next `---`. So the parser holds
-    one slice as lines, the stage list, and one memo entry per distinct line
-    and per distinct token, never a list of every line.
+    so a line of known tokens needs no range check. The memo starts with the
+    canonical spelling `str(i)` of every i below the width, or below half the
+    text's length if that is less (a text names fewer distinct indices than
+    that), so a line index's first appearance needs no `_parse_int`. On a
+    token not in the memo, each new token is converted by `_parse_int`, the
+    first bad one first, then come the `Gate` checks, then the range check,
+    which yields to the MAX_GATES check; the in-range tokens join the memo,
+    and the gates share their ints. A gate's kind is the `gates` module's own string
+    for its mnemonic, so all gates of a kind share one. Each gate adds its
+    lines to one list, which a `---` checks as `Circuit.mark_stage` does: not
+    empty, no line twice. A list of at most 3 lines is one gate, whose lines
+    `Gate` already found distinct, so only a longer list is checked for a
+    repeat. A list longer than the width must repeat a line, so at the end of
+    a slice such a list is dropped and the clash kept for the next `---`. So
+    the parser holds one slice as lines, the stage list, and one memo entry
+    per distinct line and per distinct token, never a list of every line.
     """
     pieces = map(str.splitlines, _slices(text))
     circuit, lineno, rest = _declarations(pieces)
@@ -222,7 +229,8 @@ def parse_netlist(text: str) -> Circuit:
     cap = MAX_GATES
     seen: dict[str, object] = {}  # line text -> its Gate, or _SEPARATOR
     known = seen.get
-    ints: dict[str, int] = {}  # token -> its line index, for indices in [0, width)
+    # token -> its line index, for indices in [0, width)
+    ints = {str(i): i for i in range(min(width, len(text) // 2))}
     separator = _SEPARATOR
     stage: list[int] = []  # lines the open stage's gates act on
     add, collect = gates.append, stage.extend
@@ -236,7 +244,8 @@ def parse_netlist(text: str) -> Circuit:
                 if not fields:
                     continue
                 head = fields[0]
-                if head not in ARITY:
+                kind = _KINDS.get(head)
+                if kind is None:
                     if head in ("qubits", "reg", "anc"):
                         raise NetlistError(f"{head} declaration after the first gate", lineno)
                     if head != "---":
@@ -260,7 +269,7 @@ def parse_netlist(text: str) -> Circuit:
                         ])
                         fresh = True
                     try:
-                        entry = Gate(head, lines)
+                        entry = Gate(kind, lines)
                     except ValueError as exc:
                         raise NetlistError(str(exc), lineno) from None
                     if fresh:
@@ -275,7 +284,7 @@ def parse_netlist(text: str) -> Circuit:
                             ints.update(zip(fields[1:], lines))
                 seen[raw] = entry
             if entry is separator:
-                if clash or len(set(stage)) != len(stage):
+                if clash or len(stage) > 3 and len(set(stage)) != len(stage):
                     raise NetlistError("stage gates must act on pairwise disjoint lines", lineno)
                 if not stage:
                     raise NetlistError("empty stage", lineno)

@@ -706,6 +706,14 @@ def test_parser_matches_reference_on_mutated_netlists_in_small_slices(text, size
         ("cx 0 1\nswap 1 2\nccx 0 1 2\n", "---\nswap 0 1\n---\n"),
         ("cx 0 1\n", "---\n" + "swap 1 2\n---\n" * 5),  # every stage within the width
         ("swap 0 1\n---\n" + "cx 2 0\n" * 3, "---\n"),
+        # a stage of at most 3 lines is one gate and is not searched for a repeat
+        ("ccx 0 1 2\n---\ncswap 2 0 1\n---\n", "cx 0 1\n---\n"),
+        # two or three gates sharing a line; the list is cut at the slice's end
+        ("cx 0 1\nswap 1 0\n", "---\n"),
+        ("ccx 0 1 2\ncx 2 0\n", "---\n"),
+        ("cx 0 1\nccx 2 1 0\n", "---\n"),
+        ("ccx 0 1 2\ncswap 2 1 0\n", "---\n"),
+        ("cx 0 1\ncx 1 2\nswap 0 2\n", "---\n"),
     ],
 )
 def test_a_stage_longer_than_the_width_clashes_across_slices(gates, tail, size):
@@ -770,6 +778,10 @@ def test_any_text_in_small_slices_parses_or_raises_netlist_error(text, size):
         (HEAD + "swap 0 1\ncx 1 2\n---\n", "line 6: stage gates must act on pairwise disjoint lines"),
         (HEAD + "swap 0 1\n---\nswap 0 1\nswap 0 1\n---\n",
          "line 8: stage gates must act on pairwise disjoint lines"),
+        (HEAD + "ccx 0 1 2\n---\nccx 0 1 2\ncx 2 0\n---\n",
+         "line 8: stage gates must act on pairwise disjoint lines"),
+        (HEAD + "cx 0 1\ncx 1 2\nswap 0 2\n---\n",
+         "line 7: stage gates must act on pairwise disjoint lines"),
         (HEAD + "cnot 0 1\n", "line 4: unknown gate mnemonic or directive 'cnot'"),
         (HEAD + "ccx 0 x y\n", "line 4: line index must be an integer, got 'x'"),
         (HEAD + "cx 0 1 2\n", "line 4: cx takes 2 lines, got 3"),
@@ -986,3 +998,89 @@ def test_parse_memory_does_not_grow_with_the_line_count():
     growth = _parse_transient_bytes(grown) - _parse_transient_bytes(text)
     # the gate and mark lists belong to the circuit; a str per line is about 66 B
     assert growth < 16 * added
+
+
+# ---------------------------------------------------------------- the parser's shortcuts
+
+def test_a_clash_is_carried_across_a_slice():
+    # slices of a line or two: a stage of at most the width's 8 lines is
+    # carried to its `---`, a longer one is dropped with its clash kept
+    head = "rev 1\nqubits 8\nreg R 0 7\n"
+    for gates, lineno in (("cx 0 1\ncx 2 1\n", 6),
+                          ("cx 0 1\nswap 2 3\ncx 4 5\nccx 6 7 0\n", 8),
+                          ("cx 0 1\n" * 5, 9)):
+        text = head + gates + "---\n"
+        for size in (1, 7, 9):
+            with mock.patch.object(revmul.io, "_SLICE_CHARS", size):
+                assert len(list(revmul.io._slices(text))) > 3
+                assert err(text) == f"line {lineno}: stage gates must act on pairwise disjoint lines"
+                assert outcome(parse_netlist, text) == outcome(reference_parse, text)
+
+
+KINDS = tuple(ARITY)  # the gates module's own strings
+
+
+def _kinds_are_shared(circ):
+    return all(any(gate.kind is kind for kind in KINDS) for gate in circ.gates)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_parsed_gate_kinds_are_the_gates_module_strings(n):
+    # split() copies each mnemonic out of the text; the parser maps it back
+    circ = parse_netlist(write_netlist(build_multiplier(n)))
+    assert circ == build_multiplier(n)
+    assert _kinds_are_shared(circ)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_netlists())
+def test_parsed_gate_kinds_are_shared_on_mutated_netlists(text):
+    try:
+        circ = parse_netlist(text)
+    except NetlistError:
+        return
+    assert _kinds_are_shared(circ)
+
+
+WIDE = "rev 1\nqubits 65\nreg R 0 64\n"
+
+
+@pytest.mark.parametrize(
+    "line, want",
+    [
+        ("cx 007 1", ("cx", (7, 1))),
+        ("cx +1 2", ("cx", (1, 2))),
+        ("cx 1_0 2", ("cx", (10, 2))),
+        ("ccx 64 +0 0_1", ("ccx", (64, 0, 1))),
+        ("cx 7 007", "line 4: duplicate line index in cx gate: (7, 7)"),
+        ("cx 0065 1", "line 4: gate cx (65, 1) out of range for width 65"),
+        ("cx +65 1", "line 4: gate cx (65, 1) out of range for width 65"),
+        ("cx 1 6_5", "line 4: gate cx (1, 65) out of range for width 65"),
+        ("cx -0 1", ("cx", (0, 1))),
+        ("cx 1 0x1", "line 4: line index must be an integer, got '0x1'"),
+    ],
+)
+def test_non_canonical_line_indices_parse_as_before(line, want):
+    # the memo starts with the canonical spellings below the width; any other
+    # spelling still goes through int() and the range check
+    for text in (WIDE + line + "\n", WIDE + "cx 1 7\n---\n" + line + "\n"):
+        got = outcome(parse_netlist, text)
+        assert got == outcome(reference_parse, text)
+        if isinstance(want, tuple):
+            assert got[0] == "ok" and got[2][-1] == want
+        else:
+            lineno = text.count("\n")
+            assert got == ("error", want.replace("line 4", f"line {lineno}"), lineno)
+
+
+def test_the_widest_netlists_without_gates_or_with_one_parse():
+    limit = revmul.io.MAX_QUBITS
+    head = f"rev 1\nqubits {limit}\nreg P 0 {limit - 1}\n"
+    layout = RegisterLayout([Register("P", 0, limit)])
+    assert parse_netlist(head) == Circuit(layout)
+    one = Circuit(layout)
+    one.append(Gate("ccx", (limit - 1, 0, 4097)))
+    one.mark_stage()
+    assert parse_netlist(head + f"ccx {limit - 1} 0 4097\n---\n") == one
+    # a short text seeds the memo with few indices; the last one is read by int()
+    assert err(head + f"cx 0 {limit}\n") == f"line 4: gate cx (0, {limit}) out of range for width {limit}"

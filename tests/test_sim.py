@@ -320,6 +320,19 @@ def test_verify_counterexamples_capped():
     assert len(report.counterexamples) == 16
 
 
+@pytest.mark.parametrize("given", [False, True])
+def test_verify_builds_the_multiplier_layout_once_per_call(monkeypatch, given):
+    # the counterexamples read their registers off one layout, not one each
+    circuit = Circuit(multiplier_layout(3)) if given else None
+    if not given:
+        monkeypatch.setattr(sim, "build_multiplier", lambda n: Circuit(multiplier_layout(n)))
+    want = verify_multiplier(3, circuit=circuit)
+    calls = []
+    monkeypatch.setattr(sim, "multiplier_layout", lambda n: calls.append(n) or multiplier_layout(n))
+    assert verify_multiplier(3, circuit=circuit) == want
+    assert len(want.counterexamples) == 16 and calls == [3] * given
+
+
 def _drop_last_gate(circuit):
     damaged = Circuit(circuit.layout)
     for gate in circuit.gates[:-1]:
