@@ -1,10 +1,13 @@
 """Closed-form resource accounting and regeneration of the comparison tables.
 
-The closed forms per block, with n the operand width:
+The closed forms per block, with n the operand width. The ADD/NOP and the
+multiplier are the m x n product (m ADD/NOPs, and s = (m-1)(n+m-1) swaps in
+the rotates of its n+m product lines) at m = 1 and at m = n:
 
-    ADD/NOP     QC = 20n+5   AI = n+2    delay = 15n+10      gates = 4n+1
-    ROR (2n)    QC = 6n-3    AI = 0      delay = 6           gates = 2n-1
-    multiplier  QC = 26n^2-4n+3  AI = 2n+1  delay = 15n^2+16n-6  gates = 6n^2-2n+1
+    m x n               QC = m(20n+5)+3s  AI = n+m+1  delay = m(15n+10)+6(m-1)  gates = m(4n+1)+s
+    ADD/NOP (m = 1)     QC = 20n+5        AI = n+2    delay = 15n+10        gates = 4n+1
+    multiplier (m = n)  QC = 26n^2-4n+3   AI = 2n+1   delay = 15n^2+16n-6   gates = 6n^2-2n+1
+    ROR (2n lines)      QC = 6n-3         AI = 0      delay = 6             gates = 2n-1
 
 check_formulas() proves the generators reproduce these exactly. The ancilla
 and garbage tables compare our counts against two published N x N reversible
@@ -71,13 +74,18 @@ def formula_metrics(block: str, n: int) -> Metrics:
     """
     if n < 1:
         raise ValueError(f"operand width must be >= 1, got {n}")
-    if block == ADDNOP:
+    if block in (ADDNOP, MULTIPLIER):
+        m = 1 if block == ADDNOP else n  # the m x n product
+        swaps = (m - 1) * (n + m - 1)  # m-1 rotates of the n+m product lines
+        counts = {TOFFOLI: m * (2 * n + 1), FREDKIN: 2 * m * n, SWAP: swaps}
         return Metrics(
-            gate_counts={TOFFOLI: 2 * n + 1, FREDKIN: 2 * n},
-            gate_count=4 * n + 1,
-            quantum_cost=20 * n + 5,
-            ancilla_inputs=n + 2,
-            staged_delay=15 * n + 10,
+            gate_counts={kind: count for kind, count in counts.items() if count},  # kinds present
+            gate_count=m * (4 * n + 1) + swaps,
+            quantum_cost=m * (20 * n + 5) + 3 * swaps,
+            # all n+m product lines plus the carry line; block-level ancilla
+            # tallies do not simply add, the blocks share the same window
+            ancilla_inputs=n + m + 1,
+            staged_delay=m * (15 * n + 10) + 6 * (m - 1),
         )
     if block == ROR:
         return Metrics(
@@ -86,20 +94,6 @@ def formula_metrics(block: str, n: int) -> Metrics:
             quantum_cost=6 * n - 3,
             ancilla_inputs=0,
             staged_delay=6,
-        )
-    if block == MULTIPLIER:
-        return Metrics(
-            gate_counts={
-                TOFFOLI: n * (2 * n + 1),
-                FREDKIN: 2 * n * n,
-                SWAP: (n - 1) * (2 * n - 1),
-            },
-            gate_count=6 * n * n - 2 * n + 1,
-            quantum_cost=26 * n * n - 4 * n + 3,
-            # all 2n product lines plus the carry line; block-level ancilla
-            # tallies do not simply add, the blocks share the same window
-            ancilla_inputs=2 * n + 1,
-            staged_delay=15 * n * n + 16 * n - 6,
         )
     raise ValueError(f"unknown block kind {block!r}")
 

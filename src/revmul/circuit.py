@@ -110,7 +110,7 @@ class Circuit:
     stage must act on pairwise disjoint lines, which is what makes the staged
     delay accounting (cost of a stage = its most expensive gate) sound.
     append() and mark_stage() are the checked way in from outside the package.
-    The builders fill gates and stage_marks directly (see synth._circuit), and
+    The builders fill gates and stage_marks directly (see synth._add_stages), and
     io.parse_netlist checks them inline. Treat a built circuit as immutable.
     """
 

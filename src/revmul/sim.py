@@ -175,8 +175,9 @@ def _ripple_add(p: list[int], start: int, a_bit: int, b: list[int]) -> None:
 
 def _lane_product(a: list[int], b: list[int]) -> list[int]:
     """Schoolbook product of lane-packed operands: a and b hold one lane int
-    per bit (LSB first); the 2n lane ints returned hold a*b in every lane."""
-    p = [0] * (2 * len(a))
+    per bit (LSB first); the len(a)+len(b) lane ints returned hold a*b in
+    every lane, P's lines read from A and B."""
+    p = [0] * (len(a) + len(b))
     for i, a_bit in enumerate(a):
         _ripple_add(p, i, a_bit, b)
     return p
@@ -184,9 +185,9 @@ def _lane_product(a: list[int], b: list[int]) -> list[int]:
 
 def _lane_add_and_rotate(steps: list[tuple], a: list[int], b: list[int]) -> list[int]:
     """The add-and-rotate recurrence on lane-packed operands: `steps`, the
-    multiplier's `_schedule`, run on one lane int per line (A, B, then P),
-    with each window's top line asserted clear on entry. Returns P's lanes."""
-    v = a + b + [0] * (2 * len(a))
+    product's `_schedule`, run on one lane int per line (A, B, then P, sized
+    from both), with each window's top line asserted clear. Returns P's lanes."""
+    v = a + b + [0] * (len(a) + len(b))
     for kind, _, *control, lines in steps:
         if kind == ADDNOP:
             assert not v[lines[-1]], "window overflow: carry slot was not clear"

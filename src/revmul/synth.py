@@ -4,7 +4,9 @@ The multiplier follows the add-and-rotate scheme: the product register rotates
 right instead of the multiplicand shifting left, so the multiplicand survives
 intact and nothing is thrown away. Its two building blocks are the ADD/NOP
 block (add B into a window of P when one multiplier qubit is set, do nothing
-otherwise) and a constant-depth rotate-right-by-one network.
+otherwise) and a constant-depth rotate-right-by-one network. One builder makes
+the m x n product: P's n+m lines are read from A and B, each window's n+1 from
+B. The standalone ADD/NOP is its m = 1 case, the multiplier its m = n case.
 """
 
 from collections.abc import Sequence
@@ -16,28 +18,25 @@ ADDNOP = "addnop"
 ROR = "ror"
 
 
-def _product_layout(n: int, controls: int, window: int) -> RegisterLayout:
-    """The plan every ADD/NOP acts on: `controls` multiplier lines A, n lines B,
-    a `window`-line product register P and the carry Zcin, P and Zcin as ancilla 0."""
+def _product_layout(n: int, m: int) -> RegisterLayout:
+    """The plan of the m x n product: m multiplier lines A, n lines B, the
+    (n+m)-line product register P and the carry Zcin, P and Zcin as ancilla 0."""
     if n < 1:
         raise ValueError(f"operand width must be >= 1, got {n}")
     return RegisterLayout(
         [
-            Register("A", 0, controls),
-            Register("B", controls, n),
-            Register("P", controls + n, window, const=0),
-            Register("Zcin", controls + n + window, 1, const=0),
+            Register("A", 0, m),
+            Register("B", m, n),
+            Register("P", m + n, n + m, const=0),
+            Register("Zcin", 2 * (m + n), 1, const=0),
         ]
     )
 
 
 def multiplier_layout(n: int) -> RegisterLayout:
-    """Line plan for the n x n multiplier: 4n+1 lines.
-
-    A and B are data inputs; the 2n product lines P and the carry line Zcin
-    enter as ancilla 0, so ancilla_inputs = 2n+1.
-    """
-    return _product_layout(n, n, 2 * n)
+    """Line plan for the n x n multiplier (the n x n product), 4n+1 lines: P's
+    2n lines and Zcin enter as ancilla 0, so ancilla_inputs = 2n+1."""
+    return _product_layout(n, n)
 
 
 def _ror_layout(width: int, controlled: bool) -> RegisterLayout:
@@ -101,8 +100,8 @@ def _ror_stages(lines: Sequence[int]) -> list[list[Gate]]:
     return [first, second] if second else [first]
 
 
-def _circuit(layout: RegisterLayout, stages) -> Circuit:
-    """A circuit over `layout` holding `stages` in order, one mark per stage.
+def _add_stages(circ: Circuit, stages) -> Circuit:
+    """`circ` with `stages` appended in order, one mark per stage.
 
     The builders draw every line from their layout, whose size is checked,
     and their stage patterns are fixed, so each gate is in range and each
@@ -110,7 +109,6 @@ def _circuit(layout: RegisterLayout, stages) -> Circuit:
     Circuit.append's range check or mark_stage's disjointness scan. The
     tests replay every builder's output through both.
     """
-    circ = Circuit(layout)
     gates, marks = circ.gates, circ.stage_marks
     for stage in stages:
         gates += stage
@@ -119,18 +117,16 @@ def _circuit(layout: RegisterLayout, stages) -> Circuit:
 
 
 def build_addnop(n: int) -> Circuit:
-    """Standalone ADD/NOP block: add B into the (n+1)-line window P when the
-    control line A is 1. 2n+3 lines, ancilla_inputs = n+2."""
-    layout = _product_layout(n, 1, n + 1)
-    b, window = list(layout["B"].lines), list(layout["P"].lines)
-    return _circuit(layout, _addnop_stages(layout["A"].start, b, window, layout["Zcin"].start))
+    """Standalone ADD/NOP block, the 1 x n product: add B into the (n+1)-line
+    window P when the control line A is 1. 2n+3 lines, ancilla_inputs = n+2."""
+    return _product(_product_layout(n, 1))
 
 
 def build_ror(width: int) -> Circuit:
     """Rotate-right-by-one over `width` lines: the bit on line p moves to line
     p-1 and line 0 wraps to the top. width-1 Swap gates in at most two
     parallel stages, so the depth stays 6 (3 at width 2) at any size."""
-    return _circuit(_ror_layout(width, controlled=False), _ror_stages(list(range(width))))
+    return _add_stages(Circuit(_ror_layout(width, controlled=False)), _ror_stages(list(range(width))))
 
 
 def build_controlled_ror(width: int) -> Circuit:
@@ -140,51 +136,59 @@ def build_controlled_ror(width: int) -> Circuit:
     units each; kept for the cost/delay trade-off numbers, never used by the
     multiplier. The control is line `width`, just above the window.
     """
-    layout = _ror_layout(width, controlled=True)
-    return _circuit(layout, ([Gate(FREDKIN, (width, i, i + 1))] for i in range(width - 1)))
+    circ = Circuit(_ror_layout(width, controlled=True))
+    return _add_stages(circ, ([Gate(FREDKIN, (width, i, i + 1))] for i in range(width - 1)))
 
 
 def _schedule(layout: RegisterLayout) -> list[tuple]:
-    """The multiplier's steps over `layout` in circuit order: for each m,
-    (ADDNOP, m, A[m]'s line, the top n+1 lines of P), then, but after the
+    """The product's steps over `layout` in circuit order: for each m,
+    (ADDNOP, m, A[m]'s line, P's top B.size+1 lines), then, but after the
     last, (ROR, m, P's lines). Lines are ranges, so a step hashes in O(1)."""
     a, p = layout["A"], layout["P"].lines
-    window = p[-(a.size + 1):]
+    window = p[-(layout["B"].size + 1):]
     steps = []
     for m in range(a.size):
         steps += [(ADDNOP, m, a.line(m), window), (ROR, m, p)]
     return steps[:-1]  # no rotate after the last ADD/NOP
 
 
+def _product(layout: RegisterLayout) -> Circuit:
+    """The product over `layout`: each step of `_schedule` is generated if
+    it is the first of its kind and lines, else stamped from that first one.
+    An ADD/NOP differs from its template only in the first line of each
+    Toffoli, its control A[m], and no other gate touches an A line, so each
+    copy keeps the template's range and stage disjointness. A template's
+    columns are made when a step first reuses it, so the ADD/NOP makes none."""
+    b, z = list(layout["B"].lines), layout["Zcin"].start
+    circ, spans, columns = Circuit(layout), {}, {}
+    gates, marks = circ.gates, circ.stage_marks
+    for kind, _, *control, lines in _schedule(layout):
+        key, start, first = (kind, lines), len(gates), len(marks)
+        if key not in spans:  # the first of its kind and lines
+            stages = _addnop_stages(*control, b, [*lines], z) if kind == ADDNOP else _ror_stages([*lines])
+            spans[key] = start, first, len(_add_stages(circ, stages).stage_marks)
+            continue
+        if key not in columns:  # made when a step first reuses the template
+            origin, first, last = spans[key]
+            block = gates[origin : marks[last - 1]]
+            toffolis = [(i, g.lines[1:]) for i, g in enumerate(block) if g.kind == TOFFOLI]
+            block_marks = [mark - origin for mark in marks[first:last]]
+            columns[key] = [g.kind for g in block], [g.lines for g in block], toffolis, block_marks
+        kinds, gate_lines, toffolis, block_marks = columns[key]
+        control = tuple(control)
+        for i, tail in toffolis:
+            gate_lines[i] = control + tail
+        gates.extend(map(Gate, kinds, gate_lines))
+        marks.extend([start + mark for mark in block_marks])
+    return circ
+
+
 def build_multiplier(n: int) -> Circuit:
-    """Gate-level n x n multiplier over 4n+1 lines.
+    """Gate-level n x n multiplier over 4n+1 lines: the n x n product.
 
     One ADD/NOP per multiplier qubit, with a rotate of the full product
     register between consecutive blocks; the window alignment makes the final
     rotate unnecessary. P exits holding A*B, A and B exit unchanged and Zcin
     exits 0, so no output is garbage.
-
-    Each step of `_schedule` is stamped from the first step of its kind over
-    the same lines. An ADD/NOP differs from its template only in the first
-    line of each Toffoli, its control A[m], and no other gate touches an A
-    line, so each copy keeps the template's range and stage disjointness.
     """
-    layout = multiplier_layout(n)
-    b, z = layout["B"].lines, layout["Zcin"].start
-    circ, templates = Circuit(layout), {}
-    gates, marks = circ.gates, circ.stage_marks
-    for kind, _, *control, lines in _schedule(layout):
-        if fresh := (kind, lines) not in templates:  # the first of its kind and lines
-            stages = _addnop_stages(*control, b, lines, z) if kind == ADDNOP else _ror_stages(lines)
-            block = _circuit(layout, stages)
-            kinds, gate_lines = [g.kind for g in block.gates], [g.lines for g in block.gates]
-            toffolis = [(i, g.lines[1:]) for i, g in enumerate(block.gates) if g.kind == TOFFOLI]
-            templates[kind, lines] = block, kinds, gate_lines, toffolis
-        block, kinds, gate_lines, toffolis = templates[kind, lines]
-        control = tuple(control)
-        for i, tail in toffolis:
-            gate_lines[i] = control + tail
-        start = len(gates)
-        gates.extend(block.gates if fresh else map(Gate, kinds, gate_lines))
-        marks.extend([start + mark for mark in block.stage_marks])
-    return circ
+    return _product(multiplier_layout(n))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 
 import pytest
@@ -25,7 +26,7 @@ from revmul.analysis import (
     flag_deviations,
 )
 from revmul.gates import FREDKIN, SWAP, TOFFOLI
-from revmul.synth import build_multiplier
+from revmul.synth import build_addnop, build_multiplier
 
 
 # ---------------------------------------------------------------- closed forms
@@ -66,6 +67,15 @@ def test_check_formulas_small_range():
     assert report.ok
     assert report.mismatches == []
     assert report.checked == 15 * 3
+
+
+@pytest.mark.parametrize("block, build", [("addnop", build_addnop), ("mul", build_multiplier)])
+def test_product_forms_equal_the_built_blocks_at_n1(block, build):
+    # check_formulas starts at n = 2. At n = 1 neither product block has a
+    # rotate, so its form lists no swap count, as the built block's metrics
+    # list only the kinds it holds.
+    built = dataclasses.replace(structural_metrics(build(1)), asap_depth=None)
+    assert formula_metrics(block, 1) == built
 
 
 def test_check_formulas_rejects_tiny_range():

@@ -976,6 +976,23 @@ def test_bit_sliced_references_equal_per_pair_products(data):
     assert unpack_lanes(sim._lane_add_and_rotate(steps, a, b), len(pairs)) == products
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lane_models_run_the_one_row_product(n):
+    # The ADD/NOP is the 1 x n product: both register-level models, which
+    # size P from A and B, give the gate-level block's P on every (a, b),
+    # with P entering 0, all pairs in one bit-sliced batch.
+    circuit = build_addnop(n)
+    pairs = list(itertools.product(range(2), range(1 << n)))
+    a = pack_lanes([a for a, _ in pairs], 1)
+    b = pack_lanes([b for _, b in pairs], n)
+    state = pack_lanes([x + (y << 1) for x, y in pairs], circuit.width)  # A on line 0, then B
+    p_lines = circuit.layout["P"].lines
+    gate_level = run(circuit, state)[p_lines.start : p_lines.stop]
+    assert unpack_lanes(gate_level, len(pairs)) == [x * y for x, y in pairs]
+    assert sim._lane_product(a, b) == gate_level
+    assert sim._lane_add_and_rotate(synth._schedule(circuit.layout), a, b) == gate_level
+
+
 @pytest.mark.parametrize(
     "block, size, lanes",
     [

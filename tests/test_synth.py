@@ -17,7 +17,8 @@ from revmul.circuit import Circuit
 from revmul.gates import FREDKIN, SWAP, TOFFOLI, Gate
 from revmul.io import write_netlist
 from revmul.analysis import formula_metrics
-from revmul.synth import ADDNOP, ROR, _addnop_stages, _ror_stages, _schedule, multiplier_layout
+from revmul.synth import (ADDNOP, ROR, _addnop_stages, _product_layout, _ror_stages, _schedule,
+                          multiplier_layout)
 
 
 # ---------------------------------------------------------------- ADD/NOP
@@ -301,10 +302,9 @@ def checked(layout, stages):
     return circ
 
 
-def reference_multiplier(n):
-    """The multiplier emitted step by step from its schedule through the
-    checked path."""
-    layout = multiplier_layout(n)
+def reference_multiplier(layout):
+    """The product over `layout` emitted step by step from its schedule
+    through the checked path."""
     b, z = layout["B"].lines, layout["Zcin"].start
     stages = []
     for kind, _, *control, lines in _schedule(layout):
@@ -312,10 +312,19 @@ def reference_multiplier(n):
     return checked(layout, stages)
 
 
-@pytest.mark.parametrize("n", range(1, 33))
-def test_multiplier_equals_checked_block_by_block_build(n):
+PRODUCTS = {
+    "mul": (build_multiplier, multiplier_layout),
+    "addnop": (build_addnop, lambda n: _product_layout(n, 1)),  # the one-row product
+}
+
+
+@pytest.mark.parametrize(
+    "block, n", [*(("mul", n) for n in range(1, 33)), *(("addnop", n) for n in range(1, 41))]
+)
+def test_multiplier_equals_checked_block_by_block_build(block, n):
     # layout, every gate and every stage mark
-    assert build_multiplier(n) == reference_multiplier(n)
+    build, layout = PRODUCTS[block]
+    assert build(n) == reference_multiplier(layout(n))
 
 
 def test_multiplier_gates_are_distinct_objects():
