@@ -32,7 +32,7 @@ identical up to MAX_QUBITS lines. The writer itself has no width limit, and
 
 import dataclasses
 import json
-from itertools import chain, count, repeat
+from itertools import chain, count, islice, repeat
 
 from .circuit import _MAX_SHOWN_CHARS, Circuit, Register, RegisterLayout, _shown
 from .gates import ARITY, KIND_ORDER, Gate
@@ -42,6 +42,9 @@ FORMAT_VERSION = 1
 MAX_QUBITS = 1 << 16
 MAX_GATES = 1 << 20  # also the largest circuit `cli` builds
 _SLICE_CHARS = 1 << 16  # the parser splits the text into lines this much at a time
+# The writers join their lines this many gates at a time: the smallest
+# build-mix peak RSS of the sizes measured (BENCH_chunks.json)
+_CHUNK_GATES = 1 << 14
 _MAX_INT_CHARS = _MAX_SHOWN_CHARS  # the longest integer token the parser converts
 
 
@@ -60,26 +63,41 @@ _QASM = {kind: f"{kind} {','.join(['q[%s]'] * arity)};" for kind, arity in ARITY
 
 def _write(out: list[str], circuit: Circuit, templates: dict[str, str], separators) -> str:
     """The lines in `out`, then one line per gate and the next of `separators`
-    after each marked stage, as one newline-terminated text. A distinct gate
-    is rendered once, as `templates[kind] % lines`; a repeated gate reuses
-    its text."""
-    gates = circuit.gates
-    texts = {kind: {} for kind in ARITY}  # kind -> lines -> text
+    after each marked stage, as one newline-terminated text. The gates are
+    written _CHUNK_GATES at a time: a gate distinct within its chunk is
+    rendered once, as `templates[kind] % lines`, and a repeated one reuses its
+    text. Each chunk's lines are joined and dropped before the next chunk, so
+    the writer holds one chunk's lines beside the joined chunks, and the
+    returned text beside the chunks."""
+    gates = iter(circuit.gates)
+    marks = iter(circuit.stage_marks)
+    mark = next(marks, None)  # the next stage mark; None past the last
+    chunks = []
     append = out.append
-    start = 0
-    for stop, separator in chain(zip(circuit.stage_marks, separators), [(len(gates), None)]):
-        for gate in gates[start:stop]:
+    for start in range(0, len(circuit.gates), _CHUNK_GATES):
+        texts = {kind: {} for kind in ARITY}  # kind -> lines -> text, in this chunk
+        if start:
+            append("")  # the previous chunk's final newline
+            chunks.append("\n".join(out))
+            out.clear()
+        for index, gate in enumerate(islice(gates, _CHUNK_GATES), start):
+            while index == mark:
+                append(next(separators))
+                mark = next(marks, None)
             lines = gate.lines
             known = texts[gate.kind]
             text = known.get(lines)
             if text is None:
                 text = known[lines] = templates[gate.kind] % lines
             append(text)
-        if separator is not None:
-            append(separator)
-        start = stop
-    append("")  # the final newline, without a second copy of the joined text
-    return "\n".join(out)
+    while mark is not None:  # marks at or past the last gate
+        append(next(separators))
+        mark = next(marks, None)
+    append("")
+    chunks.append("\n".join(out))
+    out.clear()
+    texts = None  # the last chunk's lines go before the chunks are joined
+    return "".join(chunks)
 
 
 def write_netlist(circuit: Circuit) -> str:

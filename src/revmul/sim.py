@@ -42,7 +42,7 @@ MAX_COUNTEREXAMPLES = 16
 # Most lanes x lines in one sweep batch: a wider circuit gets fewer lanes per
 # batch, so a batch's strings and ints stay near 10 MiB at any width.
 BATCH_BITS = 1 << 22
-# 2^26 pairs: one-shot `revmul verify mul --n 13 --exhaustive` takes 1.24 s with
+# 2^26 pairs: one-shot `revmul verify mul --n 13 --exhaustive` takes 1.7-2.3 s with
 # Python 3.11 on a shared 2-vCPU x86-64 Xeon host; beyond that use randomized mode
 EXHAUSTIVE_MULTIPLIER_LIMIT = 13
 EXHAUSTIVE_ROTATE_LIMIT = 26  # 2^27 states for cror, about 0.5 s; beyond that use randomized mode

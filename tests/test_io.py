@@ -4,6 +4,7 @@ import random
 import re
 import time
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -235,9 +236,9 @@ def test_writers_match_reference_on_random_circuits(circuit):
 @pytest.mark.parametrize("n", [32, 64])
 def test_writer_peak_memory_stays_near_its_text(n):
     """The writer appends one shared text per distinct gate and one shared
-    separator, so its traced peak is a few times the text it returns (3.7-3.9x
-    at these sizes; a new string per stage read 5.6x). `build`'s RSS and the CI memory
-    caps rest on this."""
+    separator, so its traced peak is a few times the text it returns (3.9x at
+    n = 32, one chunk, and 2.6x at n = 64, two chunks; a new string per stage
+    read 5.6x). `build`'s RSS and the CI memory caps rest on this."""
     circuit = build_multiplier(n)
     tracemalloc.start()
     try:
@@ -246,6 +247,92 @@ def test_writer_peak_memory_stays_near_its_text(n):
     finally:
         tracemalloc.stop()
     assert peak <= 4.5 * len(text)
+
+
+def stage_sliced_write(out, circuit, templates, separators):
+    """`io._write` as it was before it wrote in chunks: one slice of the gate
+    list per stage, one text memo for the whole circuit and one join."""
+    gates = circuit.gates
+    texts = {kind: {} for kind in ARITY}  # kind -> lines -> text
+    append = out.append
+    start = 0
+    for stop, separator in chain(zip(circuit.stage_marks, separators), [(len(gates), None)]):
+        for gate in gates[start:stop]:
+            lines = gate.lines
+            known = texts[gate.kind]
+            text = known.get(lines)
+            if text is None:
+                text = known[lines] = templates[gate.kind] % lines
+            append(text)
+        if separator is not None:
+            append(separator)
+        start = stop
+    append("")
+    return "\n".join(out)
+
+
+def assert_writers_match_stage_sliced(circuit):
+    texts = write_netlist(circuit), export_qasm(circuit)
+    with mock.patch.object(revmul.io, "_write", stage_sliced_write):
+        assert texts == (write_netlist(circuit), export_qasm(circuit))
+
+
+def marked_circuit(gates, marks):
+    """`hand_circuit` with its stage marks set to `marks` as given."""
+    circ = hand_circuit(gates)
+    circ.stage_marks = list(marks)
+    return circ
+
+
+CHUNK_CASES = {
+    # a mark at 0 writes a separator before the first gate
+    "mark_at_zero": lambda: marked_circuit(SAME_LINES, [0, 3]),
+    "repeated_mark": lambda: marked_circuit(SAME_LINES, [2, 2, 2, 5]),
+    "marks_past_the_end": lambda: marked_circuit(SAME_LINES, [1, 6, 6, 8, 40]),
+    "marks_only": lambda: marked_circuit([], [0, 0, 3]),
+    # 24,449 gates: the chunk boundary at gate 16,384 is a stage mark
+    "mul64": lambda: build_multiplier(64),
+    # 39,999 gates in two stages: both chunk boundaries fall inside a stage
+    "ror40000": lambda: build_ror(40_000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNK_CASES))
+def test_chunked_writers_match_stage_sliced_writer(name):
+    assert_writers_match_stage_sliced(CHUNK_CASES[name]())
+
+
+def test_chunk_cases_cross_a_boundary_on_a_mark_and_inside_a_stage():
+    size = revmul.io._CHUNK_GATES
+    mul, ror = build_multiplier(64), build_ror(40_000)
+    assert size in mul.stage_marks
+    assert len(ror.stage_marks) == 2 and ror.stage_marks[0] < 2 * size < ror.stage_marks[1]
+    assert size < ror.stage_marks[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_circuits(), st.sampled_from([1, 2, 3, 5, revmul.io._CHUNK_GATES]))
+def test_chunked_writers_match_stage_sliced_writer_on_random_circuits(circuit, size):
+    """Chunks of 1-5 gates put chunk boundaries on marks, inside stages and
+    after the last gate of random circuits; the real size writes one chunk."""
+    with mock.patch.object(revmul.io, "_CHUNK_GATES", size):
+        assert_writers_match_stage_sliced(circuit)
+
+
+@pytest.mark.parametrize("write", [write_netlist, export_qasm])
+def test_chunked_writer_peak_memory_is_near_twice_its_text(write):
+    """Above the live circuit, the writer holds one chunk's lines beside the
+    joined chunks, then the chunks beside the returned text: 2.3x its text for
+    the .rev and 2.15x for QASM at n = 128 (six chunks). The stage-sliced
+    writer, which joined every line at once, read 3.75x and 3.3x."""
+    circuit = build_multiplier(128)
+    tracemalloc.start()
+    try:
+        text = write(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * len(text)
 
 
 # sha256 of `revmul build mul --n N --format F`, as the benchmark pins them
