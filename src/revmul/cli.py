@@ -46,13 +46,12 @@ _BLOCKS = {
 # Largest circuit `build` and `verify` will construct, in gates, and the most
 # gate lines `sim` will read (the netlist parser's own cap); the largest
 # multiplier allowed is n = 418 (1,047,509 gates). Memory and time grow
-# linearly with the gate count: `build mul --n 200` (239,601 gates) peaks at
-# 53 MiB and takes 0.26-0.28 s on a shared 2-vCPU x86-64 host with Python 3.11.
+# linearly with the gate count; the README gives measured figures.
 MAX_GATES = revio.MAX_GATES
 
-# Largest random sweep `verify` will run: no more cases, and no more cases x
-# gates, than the largest exhaustive sweep (every pair of the multiplier at
-# the exhaustive limit, 2^26 pairs through 989 gates).
+# Largest random sweep `verify` will run, in draws (a cror draw is 2 states):
+# no more draws, and no more draws x gates, than the largest exhaustive sweep
+# (every pair of the multiplier at the exhaustive limit, 2^26 pairs, 989 gates).
 MAX_RANDOM_CASES = 1 << (2 * sim.EXHAUSTIVE_MULTIPLIER_LIMIT)
 MAX_RANDOM_WORK = MAX_RANDOM_CASES * _BLOCKS["mul"].gates(sim.EXHAUSTIVE_MULTIPLIER_LIMIT)
 
@@ -119,7 +118,7 @@ def cmd_build(args) -> int:
     circuit = _BLOCKS[args.block].build(size)
     path = args.out or f"{args.block}{size}.{args.format}"
     text = revio.export_qasm(circuit) if args.format == "qasm" else revio.write_netlist(circuit)
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(path, "w", encoding="utf-8", newline="") as handle:  # "\n" on every platform
         handle.write(text)
     m = structural_metrics(circuit)
     print(f"wrote {path} ({m.gate_count} gates)")
@@ -230,7 +229,7 @@ def cmd_compare(args) -> int:
     else:
         text = revio.metrics_json(rows)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         print(f"wrote {args.out} ({len(rows)} rows)")
     else:

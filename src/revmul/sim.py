@@ -13,8 +13,9 @@ encodes with `_value_bits` and `register_value` decodes with `_bits_value`.
 
 Both verifiers share one sweep, `_sweep`, which packs each batch of cases
 into one `run` call: a batch gets the largest power of two of lanes whose
-lane ints, one per line, fit in BATCH_BITS bits; each verifier's `drive`
-alone says which bit of a case's index each line carries. The references are
+lane ints, one per line, fit in BATCH_BITS bits; the registers of each
+verifier's `drive`, read off the circuit's layout, alone say which bit of a
+case's index each line carries. The references are
 bit-sliced too: each verifier computes the wanted exit state of a whole batch
 on the same lane ints (for the multiplier, a schoolbook product, which reads
 no schedule, cross-checked against `_lane_add_and_rotate`, which runs the
@@ -157,8 +158,9 @@ def oracle_multiply(n: int, a: int, b: int) -> int:
         raise ValueError(f"operand a={a} out of range for {n} bits")
     if not 0 <= b < (1 << n):
         raise ValueError(f"operand b={b} out of range for {n} bits")
-    bits = [list(_value_bits(x, n)) for x in (a, b)]
-    return _bits_value(_lane_add_and_rotate(_schedule(multiplier_layout(n)), *bits))
+    layout = multiplier_layout(n)
+    exit_state = _lane_add_and_rotate(layout, pack_state(layout, {"A": a, "B": b}))
+    return register_value(layout, exit_state, "P")
 
 
 def _ripple_add(p: list[int], start: int, a_bit: int, b: list[int]) -> None:
@@ -183,18 +185,19 @@ def _lane_product(a: list[int], b: list[int]) -> list[int]:
     return p
 
 
-def _lane_add_and_rotate(steps: list[tuple], a: list[int], b: list[int]) -> list[int]:
-    """The add-and-rotate recurrence on lane-packed operands: `steps`, the
-    product's `_schedule`, run on one lane int per line (A, B, then P, sized
-    from both), with each window's top line asserted clear. Returns P's lanes."""
-    v = a + b + [0] * (len(a) + len(b))
-    for kind, _, *control, lines in steps:
+def _lane_add_and_rotate(layout: RegisterLayout, state: list[int]) -> list[int]:
+    """The add-and-rotate recurrence on a lane-packed entry state of the
+    product over `layout`: its `_schedule`, run on one lane int per line,
+    with each window's top line asserted clear. Returns the exit state."""
+    v = list(state)
+    b = v[layout["B"].start : layout["B"].end]
+    for kind, _, *control, lines in _schedule(layout):
         if kind == ADDNOP:
             assert not v[lines[-1]], "window overflow: carry slot was not clear"
             _ripple_add(v, lines.start, v[control[0]], b)
         else:
             v.insert(lines.stop - 1, v.pop(lines.start))
-    return v[len(a) + len(b) :]
+    return v
 
 
 @dataclass
@@ -284,13 +287,27 @@ def _word_pair_batches(rng: random.Random, count: int, n: int, lanes: int):
         yield [int(text[offset::64], 2) for offset in offsets], size
 
 
-def _sweep(mode, count, seed, too_big, build, drive, draw, want, explain) -> VerifyReport:
-    """Check the arguments, `build()` the circuit, then sweep every case
-    index the lines of `drive` span, or the seeded batches that
-    `draw(rng, bits, lanes)` yields: the `bits` index-bit lanes of at most
-    `lanes` cases and their count, as `_random_batches` yields them. Case k
-    drives line j with bit drive[j] of k, or 0 where drive[j] is None: the
-    index-bit lanes of a batch map to its lane-packed entry state once.
+def _check_sweep(mode: str, count: int, too_big: bool, limit_message: str) -> None:
+    """Refuse an unknown mode, a random count below 1, or an exhaustive
+    sweep that is `too_big`, with `limit_message`."""
+    if mode == "exhaustive":
+        if too_big:
+            raise ValueError(limit_message)
+    elif mode == "random":
+        if count < 1:
+            raise ValueError(f"random mode needs a positive count, got {count}")
+    else:
+        raise ValueError(f"unknown verification mode {mode!r}")
+
+
+def _sweep(circuit, mode, seed, drive, draw, want, explain) -> VerifyReport:
+    """Sweep `circuit` over every case index the registers of `drive` span,
+    or the seeded batches that `draw(rng, bits, lanes)` yields: the `bits`
+    index-bit lanes of at most `lanes` cases and their count, as
+    `_random_batches` yields them. The lines of `drive`'s registers, in
+    order, carry bits 0, 1, ... of a case's index, and every other line
+    enters 0: the index-bit lanes of a batch map to its lane-packed entry
+    state once.
 
     Each batch runs through one `run` call. `lanes` is the largest power of
     two that is at most BATCH_BITS // width, and at least 1.
@@ -301,25 +318,18 @@ def _sweep(mode, count, seed, too_big, build, drive, draw, want, explain) -> Ver
     order: `explain(entry, out, expected)` turns the bits of the first 16,
     one per line, into counterexamples.
     """
-    if mode == "exhaustive":
-        if too_big:
-            raise ValueError(too_big)
-    elif mode == "random":
-        if count < 1:
-            raise ValueError(f"random mode needs a positive count, got {count}")
-    else:
-        raise ValueError(f"unknown verification mode {mode!r}")
-    circuit = build()
     lanes = 1 << max(1, BATCH_BITS // circuit.width).bit_length() - 1
-    bits = sum(d is not None for d in drive)
+    driven = [line for reg in drive for line in reg.lines]
     if mode == "exhaustive":
-        batches = _exhaustive_batches(bits, lanes)
+        batches = _exhaustive_batches(len(driven), lanes)
     else:
-        batches = draw(random.Random(seed), bits, lanes)
+        batches = draw(random.Random(seed), len(driven), lanes)
     counterexamples = []
     checked = 0
     for index, size in batches:
-        state = [0 if d is None else index[d] for d in drive]
+        state = [0] * circuit.width
+        for line, lane in zip(driven, index):
+            state[line] = lane
         del index  # a width-long list fewer alive beside `run`'s copy of the state
         out = run(circuit, state)
         expected, disagree = want(state)
@@ -360,23 +370,19 @@ def verify_multiplier(
     """
     if circuit is not None and circuit.layout != multiplier_layout(n):
         raise ValueError(f"circuit layout {circuit.layout!r} is not the n={n} multiplier's")
-
-    steps = []  # filled by build, once `_sweep` has checked the arguments
-    layout = None  # the multiplier's, set by build for explain
-
-    def build():
-        nonlocal layout
-        built = build_multiplier(n) if circuit is None else circuit
-        layout = built.layout
-        steps.extend(_schedule(layout))
-        return built
+    limit = EXHAUSTIVE_MULTIPLIER_LIMIT
+    _check_sweep(mode, count, n > limit, f"exhaustive verification is limited to n <= {limit}")
+    if circuit is None:
+        circuit = build_multiplier(n)
+    layout = circuit.layout
+    a_reg, b_reg, p_reg = (layout[name] for name in ("A", "B", "P"))
 
     def want(state):
-        a, b = state[:n], state[n : 2 * n]
-        product = _lane_product(a, b)
-        model = _lane_add_and_rotate(steps, a, b)
-        disagree = reduce(operator.or_, map(operator.xor, product, model), 0)
-        return a + b + product + [0], disagree  # lines A, B, P, then Zcin = 0
+        expected = list(state)  # A, B and Zcin exit as they entered
+        a, b = (state[reg.start : reg.end] for reg in (a_reg, b_reg))
+        expected[p_reg.start : p_reg.end] = _lane_product(a, b)
+        model = _lane_add_and_rotate(layout, state)
+        return expected, reduce(operator.or_, map(operator.xor, expected, model), 0)
 
     def explain(entry, out, expected):
         a, b = (register_value(layout, entry, name) for name in ("A", "B"))
@@ -394,19 +400,8 @@ def verify_multiplier(
         pairs = (rng.randrange(1 << n) << n | rng.randrange(1 << n) for _ in range(count))
         return _random_batches(pairs, bits, lanes)
 
-    limit = EXHAUSTIVE_MULTIPLIER_LIMIT
-    return _sweep(
-        mode,
-        count,
-        seed,
-        f"exhaustive verification is limited to n <= {limit}" if n > limit else None,
-        build,
-        # pair (a, b) is case a * 2^n + b: B takes the low index bits
-        [*range(n, 2 * n), *range(n), *[None] * (2 * n + 1)],
-        draw,
-        want,
-        explain,
-    )
+    # pair (a, b) is case a * 2^n + b: B takes the low index bits
+    return _sweep(circuit, mode, seed, (b_reg, a_reg), draw, want, explain)
 
 
 def verify_rotate(
@@ -422,17 +417,25 @@ def verify_rotate(
     controlled variant must equal it when the control is 1 and the identity
     when it is 0, with the control line itself preserved.
     """
+    limit = EXHAUSTIVE_ROTATE_LIMIT
+    message = f"exhaustive rotate verification is limited to width <= {limit}"
+    _check_sweep(mode, count, width > limit, message)
+    circuit = build_controlled_ror(width) if controlled else build_ror(width)
+    layout = circuit.layout
+    p_reg = layout["P"]
 
     def want(state):
-        rotated = oracle_rotate_right(state[:width])
+        entry = state[p_reg.start : p_reg.end]
+        rotated = oracle_rotate_right(entry)
         if controlled:
-            control = state[width]
-            rotated = [x ^ (x ^ r) & control for x, r in zip(state, rotated)] + [control]
-        return rotated, 0
+            control = state[layout["C"].start]
+            rotated = [x ^ (x ^ r) & control for x, r in zip(entry, rotated)]
+        # C, if any, exits as it entered; one new list (a slice write would hold a second)
+        return [*state[: p_reg.start], *rotated, *state[p_reg.end :]], 0
 
     def explain(entry, out, expected):
-        value = _bits_value(entry[:width])  # P is lines 0..width-1 in both rotate layouts
-        control = entry[width] if controlled else None
+        value = register_value(layout, entry, "P")
+        control = register_value(layout, entry, "C") if controlled else None
         return {"input": value, "control": control, "expected": expected, "got": out}
 
     def draw(rng, bits, lanes):
@@ -440,16 +443,6 @@ def verify_rotate(
         cases = (value << 1 | c for value in values for c in (0, 1)) if controlled else values
         return _random_batches(cases, bits, lanes)
 
-    limit = EXHAUSTIVE_ROTATE_LIMIT
-    return _sweep(
-        mode,
-        count,
-        seed,
-        f"exhaustive rotate verification is limited to width <= {limit}" if width > limit else None,
-        lambda: build_controlled_ror(width) if controlled else build_ror(width),
-        # case (value, control) is value * 2 + control: the control takes bit 0
-        [*range(1, width + 1), 0] if controlled else list(range(width)),
-        draw,
-        want,
-        explain,
-    )
+    # case (value, control) is value * 2 + control: the control takes bit 0
+    drive = (layout["C"], p_reg) if controlled else (p_reg,)
+    return _sweep(circuit, mode, seed, drive, draw, want, explain)

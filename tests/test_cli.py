@@ -1,3 +1,4 @@
+import _pyio
 import argparse
 import contextlib
 import functools
@@ -560,6 +561,19 @@ def test_compare_writes_file(tmp_path, capsys):
     out = tmp_path / "t.csv"
     assert main(["compare", "--max-n", "8", "--format", "csv", "--out", str(out)]) == 0
     assert out.read_text().splitlines()[0] == "n,ours,kotiyal,zhou,imp_kotiyal,imp_zhou"
+
+
+def test_written_files_have_the_same_bytes_on_every_platform(monkeypatch, tmp_path, capsys):
+    # a platform whose line separator is "\r\n": _pyio's text files read
+    # os.linesep when opened, so a file opened without newline="" turns each
+    # "\n" written into "\r\n"
+    monkeypatch.setattr(os, "linesep", "\r\n")
+    monkeypatch.setattr(cli, "open", _pyio.open, raising=False)
+    rev, csv = tmp_path / "mul2.rev", tmp_path / "t.csv"
+    assert main(["build", "mul", "--n", "2", "--out", str(rev)]) == 0
+    assert main(["compare", "--max-n", "8", "--format", "csv", "--out", str(csv)]) == 0
+    assert rev.read_bytes() == revio.write_netlist(synth.build_multiplier(2)).encode()
+    assert csv.read_bytes() == analysis.render_csv(analysis.ancilla_rows(8), "ancilla").encode()
 
 
 # A valid command line for each subcommand, positionals first. The test below

@@ -971,9 +971,10 @@ def test_bit_sliced_references_equal_per_pair_products(data):
     b = pack_lanes([b for _, b in pairs], n)
     # against native products: `oracle_multiply` is `_lane_add_and_rotate` on one lane
     products = [a * b for a, b in pairs]
-    steps = synth._schedule(multiplier_layout(n))
+    layout = multiplier_layout(n)
+    model = sim._lane_add_and_rotate(layout, a + b + [0] * (layout.width - 2 * n))
     assert unpack_lanes(sim._lane_product(a, b), len(pairs)) == products
-    assert unpack_lanes(sim._lane_add_and_rotate(steps, a, b), len(pairs)) == products
+    assert unpack_lanes(model[layout["P"].start : layout["P"].end], len(pairs)) == products
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -990,7 +991,27 @@ def test_lane_models_run_the_one_row_product(n):
     gate_level = run(circuit, state)[p_lines.start : p_lines.stop]
     assert unpack_lanes(gate_level, len(pairs)) == [x * y for x, y in pairs]
     assert sim._lane_product(a, b) == gate_level
-    assert sim._lane_add_and_rotate(synth._schedule(circuit.layout), a, b) == gate_level
+    assert sim._lane_add_and_rotate(circuit.layout, state)[p_lines.start : p_lines.stop] == gate_level
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_model_runs_from_any_entry_state(n):
+    # P entering c * 2^(n-1) exits holding a * b + c for every c <= 2^n (the
+    # multiply-accumulate), with A and B unchanged and Zcin 0, all (a, b, c)
+    # in one bit-sliced batch. The model runs from the same entry state and
+    # gives the same exit state for c < 2^n, the lanes in `low`; at
+    # c = 2^n the top window line enters 1, which its carry assertion refuses.
+    circuit = build_multiplier(n)
+    triples = [(a, b, c) for c in range((1 << n) + 1) for a in range(1 << n) for b in range(1 << n)]
+    assert len(triples) == {1: 12, 2: 80, 3: 576, 4: 4352}[n]
+    entry = pack_lanes([a | b << n | c << 3 * n - 1 for a, b, c in triples], circuit.width)
+    out = run(circuit, entry)
+    assert unpack_lanes(out, len(triples)) == [a | b << n | (a * b + c) << 2 * n for a, b, c in triples]
+    low = (1 << (1 << 3 * n)) - 1  # the first 2^(3n) lanes, those with c < 2^n
+    model = sim._lane_add_and_rotate(circuit.layout, [line & low for line in entry])
+    assert model == [line & low for line in out]
+    with pytest.raises(AssertionError, match="carry slot was not clear"):
+        sim._lane_add_and_rotate(circuit.layout, entry)
 
 
 @pytest.mark.parametrize(
@@ -1039,10 +1060,10 @@ def test_exhaustive_lane_patterns_up_to_2_20_lanes():
 
 def test_a_broken_recurrence_fails_exactly_the_pairs_it_breaks(monkeypatch):
     # flip product bit 0 of the recurrence in the lanes where a and b are odd
-    def broken(steps, a, b):
-        p = real(steps, a, b)
-        p[0] ^= a[0] & b[0]
-        return p
+    def broken(layout, state):
+        out = real(layout, state)
+        out[layout["P"].start] ^= state[layout["A"].start] & state[layout["B"].start]
+        return out
 
     real = sim._lane_add_and_rotate
     monkeypatch.setattr(sim, "_lane_add_and_rotate", broken)
