@@ -138,6 +138,8 @@ def cmd_sim(args) -> int:
         name, eq, raw = item.rpartition("=")
         if not eq or not name:
             raise ValueError(f"input assignment must look like NAME=VALUE, got {_shown(item)}")
+        if name in values:
+            raise ValueError(f"register {_shown(name, str)} is assigned more than once")
         values[name] = _integer(raw, f"the value of register {_shown(name, str)}")
     layout = circuit.layout
     state = sim.pack_state(layout, values)
@@ -150,7 +152,8 @@ def cmd_sim(args) -> int:
         # `run` calls `trace` once per item of `circuit.stages()`, in order, so
         # walking them in step names the lines a stage may have changed. Each
         # line maps to its register's index in print order, not to a 1 << bit
-        # mask: a table of masks would take O(width^2) bytes.
+        # mask: a table of masks would take O(width^2) bytes. Most stages change
+        # no line, so the values' text is rendered again only after one that does.
         regs = [sim.register_value(layout, state, r.name) for r in order]
         starts = [r.start for r in order]
         owner = [0] * circuit.width
@@ -160,16 +163,20 @@ def cmd_sim(args) -> int:
         stages = circuit.stages()
         number = itertools.count(1)
         write = sys.stdout.write
-        line_template = "stage %d: " + template + "\n"  # print() writes twice
+        text = template % tuple(regs) + "\n"  # print() writes twice
 
         def trace(live):  # each stage prints as the run reaches it; none is kept
+            nonlocal text
             for gate in next(stages):
                 for line in gate.lines:
                     if live[line] != seen[line]:
                         seen[line] = live[line]
                         index = owner[line]
                         regs[index] ^= 1 << line - starts[index]
-            write(line_template % (next(number), *regs))
+                        text = None
+            if text is None:
+                text = template % tuple(regs) + "\n"
+            write("stage %d: %s" % (next(number), text))
 
     final = sim.run(circuit, state, trace=trace)
     print(template % tuple([sim.register_value(layout, final, r.name) for r in order]))
@@ -289,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--set",
         action="append",
         metavar="NAME=VALUE",
-        help="register assignment; decimal, 0x or 0b (repeatable)",
+        help="register assignment, once per register; decimal, 0x or 0b",
     )
     p.add_argument("--trace", action="store_true", help="print the state at each stage")
 

@@ -230,6 +230,27 @@ def test_sim_bad_value_names_the_register(tmp_path, capsys):
     assert "register B must be an integer, got '0x'" in capsys.readouterr().err
 
 
+def test_sim_refuses_a_register_assigned_twice(tmp_path, capsys):
+    path = tmp_path / "mul2.rev"
+    main(["build", "mul", "--n", "2", "--out", str(path)])
+    capsys.readouterr()
+    assert main(["sim", str(path), "--set", "A=1", "--set", "A=2", "--set", "B=3"]) == 2
+    assert capsys.readouterr() == ("", "error: register A is assigned more than once\n")
+    # refused before the second value is converted
+    assert main(["sim", str(path), "--set", "A=1", "--set", "A=x", "--set", "B=3"]) == 2
+    assert capsys.readouterr().err == "error: register A is assigned more than once\n"
+    # a long name is echoed by its length
+    name = "N" * 100
+    assert main(["sim", str(path), f"--set={name}=1", f"--set={name}=1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: register of 100 characters is assigned more than once\n"
+    )
+    # the file is read first, so a missing one is reported as before
+    missing = tmp_path / "missing.rev"
+    assert main(["sim", str(missing), "--set", "A=1", "--set", "A=2"]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+
+
 def test_sim_sets_a_register_whose_name_holds_an_equals_sign(tmp_path, capsys):
     # no integer holds "=", so an assignment splits at its last one
     path = tmp_path / "eq.rev"
@@ -330,6 +351,44 @@ def test_sim_stdout_matches_the_reference_renderer(name, trace, tmp_path, capsys
     assert printed.splitlines(keepends=True) == want.splitlines(keepends=True)
     if trace and name == "no_gates":
         assert printed.count("\n") == 1  # no stage line, only the final state
+
+
+def _traced_sim(circuit, values, tmp_path, capsys):
+    """`sim --trace` stdout of `circuit`, checked against the reference."""
+    path = tmp_path / "traced.rev"
+    path.write_text(revio.write_netlist(circuit))
+    argv = ["sim", str(path), "--trace"] + [f"--set={k}={v}" for k, v in values.items()]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    want = reference_sim_stdout(circuit, values, True)
+    assert printed.splitlines(keepends=True) == want.splitlines(keepends=True)
+    return printed.splitlines()
+
+
+def test_traced_sim_repeats_the_entry_state_when_no_stage_changes_it(tmp_path, capsys):
+    # with A = 0 every ADD/NOP is a NOP, and each rotate moves P's zeros
+    lines = _traced_sim(synth.build_multiplier(4), {"A": 0, "B": 13}, tmp_path, capsys)
+    assert len(lines) == 63
+    assert lines[:-1] == [f"stage {k}: P=0 A=0 B=13 Zcin=0" for k in range(1, 63)]
+    assert lines[-1] == "P=0 A=0 B=13 Zcin=0"
+
+
+def test_traced_sim_renders_again_only_after_a_stage_changes_a_register(tmp_path, capsys):
+    # stages that change nothing, then one register, then nothing, then two
+    # registers in one two-gate stage; a `%` in a name prints as itself
+    circ = Circuit(RegisterLayout([Register("50%", 0, 2), Register("Q", 2, 2), Register("P", 4, 2, 0)]))
+    for stage in [[(CNOT, (0, 2))], [(CNOT, (1, 2))], [(TOFFOLI, (0, 1, 4))],
+                  [(CNOT, (1, 5)), (SWAP, (2, 3))]]:
+        for kind, lines in stage:
+            circ.append(Gate(kind, lines))
+        circ.mark_stage()
+    assert _traced_sim(circ, {"50%": 2, "Q": 0}, tmp_path, capsys) == [
+        "stage 1: P=0 50%=2 Q=0",
+        "stage 2: P=0 50%=2 Q=1",
+        "stage 3: P=0 50%=2 Q=1",
+        "stage 4: P=2 50%=2 Q=2",
+        "P=2 50%=2 Q=2",
+    ]
 
 
 def _wide_circuit():
