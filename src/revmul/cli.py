@@ -24,13 +24,17 @@ from . import analysis, io as revio, sim, synth
 from .circuit import _MAX_SHOWN_CHARS, _shown
 from .metrics import structural_metrics
 
-_Block = namedtuple("_Block", "flag gates build exhaustive_up_to unit verify", defaults=(None,) * 3)
+_Block = namedtuple(
+    "_Block", "flag gates build exhaustive_up_to unit verify cases_per_draw", defaults=(None,) * 3 + (1,)
+)
 
 # Per block: its size flag; its gate count at a size (the closed form in
 # `analysis`, or w-1 for a rotate, whose form there covers even widths only);
 # its builder; and, for `verify`, the largest size swept exhaustively by
-# default, what one case is, and its verifier. The lambdas look `synth` and
-# `sim` up at each call, so a rebound builder or verifier is the one that runs.
+# default, what one case is, its verifier and the cases one random draw checks
+# (a cror draw is one window value under both values of the control). The
+# lambdas look `synth` and `sim` up at each call, so a rebound builder or
+# verifier is the one that runs.
 _BLOCKS = {
     "mul": _Block("n", lambda n: analysis.formula_metrics(analysis.MULTIPLIER, n).gate_count,
                   lambda n: synth.build_multiplier(n),
@@ -40,7 +44,7 @@ _BLOCKS = {
     "ror": _Block("width", lambda w: w - 1, lambda w: synth.build_ror(w),
                   12, "states", lambda w, **sweep: sim.verify_rotate(w, **sweep)),
     "cror": _Block("width", lambda w: w - 1, lambda w: synth.build_controlled_ror(w),
-                   12, "states", lambda w, **sweep: sim.verify_rotate(w, controlled=True, **sweep)),
+                   12, "states", lambda w, **sweep: sim.verify_rotate(w, controlled=True, **sweep), 2),
 }
 
 # Largest circuit `build` and `verify` will construct, in gates, and the most
@@ -49,9 +53,10 @@ _BLOCKS = {
 # linearly with the gate count; the README gives measured figures.
 MAX_GATES = revio.MAX_GATES
 
-# Largest random sweep `verify` will run, in draws (a cror draw is 2 states):
-# no more draws, and no more draws x gates, than the largest exhaustive sweep
-# (every pair of the multiplier at the exhaustive limit, 2^26 pairs, 989 gates).
+# Largest random sweep `verify` will run, in the cases it checks (2 per cror
+# draw): no more cases, and no more cases x gates, than the largest exhaustive
+# sweep (every pair of the multiplier at the exhaustive limit, 2^26 pairs,
+# 989 gates).
 MAX_RANDOM_CASES = 1 << (2 * sim.EXHAUSTIVE_MULTIPLIER_LIMIT)
 MAX_RANDOM_WORK = MAX_RANDOM_CASES * _BLOCKS["mul"].gates(sim.EXHAUSTIVE_MULTIPLIER_LIMIT)
 
@@ -195,8 +200,8 @@ def cmd_verify(args) -> int:
     else:
         # default: exhaustive while the sweep stays small, randomized above
         mode, count = ("exhaustive", 0) if size <= block.exhaustive_up_to else ("random", 1000)
-    gates = block.gates(size)
-    if count > MAX_RANDOM_CASES or count * gates > MAX_RANDOM_WORK:
+    gates, cases = block.gates(size), count * block.cases_per_draw
+    if cases > MAX_RANDOM_CASES or cases * gates > MAX_RANDOM_WORK:
         raise ValueError(
             f"--random {count} on a {gates}-gate circuit exceeds the largest exhaustive sweep: "
             f"at most {MAX_RANDOM_CASES} cases and {MAX_RANDOM_WORK} cases x gates"

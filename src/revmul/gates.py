@@ -38,21 +38,26 @@ class Gate:
         # which a frozen dataclass's __setattr__ does not intercept.
         if type(lines) is not tuple:
             lines = tuple(lines)
-        arity = ARITY.get(kind)
-        if arity is None:
-            raise ValueError(f"unknown gate kind {kind!r}")
-        if len(lines) != arity:
-            raise ValueError(f"{kind} takes {arity} lines, got {len(lines)}")
-        # Unrolled by arity: plain comparisons cost less than a min() and a
-        # set() per gate.
+        try:
+            arity = ARITY[kind]
+        except KeyError:
+            raise ValueError(f"unknown gate kind {kind!r}") from None
+        # Unrolled by arity: the unpacking is the arity check, and plain
+        # comparisons cost less than a min() and a set() per gate.
         if arity == 3:
-            x, y, z = lines
+            try:
+                x, y, z = lines
+            except ValueError:
+                raise ValueError(f"{kind} takes 3 lines, got {len(lines)}") from None
             if x < 0 or y < 0 or z < 0:
                 raise ValueError(f"negative line index in {kind} gate: {lines}")
             if x == y or x == z or y == z:
                 raise ValueError(f"duplicate line index in {kind} gate: {lines}")
         else:
-            x, y = lines
+            try:
+                x, y = lines
+            except ValueError:
+                raise ValueError(f"{kind} takes 2 lines, got {len(lines)}") from None
             if x < 0 or y < 0:
                 raise ValueError(f"negative line index in {kind} gate: {lines}")
             if x == y:

@@ -106,13 +106,29 @@ def test_size_limit_boundary():
     [
         ["verify", "ror", "--width", "2", "--random", "1000000000000"],
         ["verify", "ror", "--width", "2", "--random", str(2**26 + 1)],
-        ["verify", "cror", "--width", "1000", "--random", "66500000"],  # below 2^26 cases
+        # 66,600,000 states: below 2^26 cases, above 2^26 x 989 cases x gates
+        ["verify", "cror", "--width", "1000", "--random", "33300000"],
+        ["verify", "cror", "--width", "2", "--random", str(2**25 + 1)],  # 2 states a draw
         ["verify", "mul", "--n", "418", "--random", "63361"],
     ],
 )
 def test_oversized_random_sweep_refused_before_building(argv, no_builders, capsys):
     assert main(argv) == 2
     assert "exceeds the largest exhaustive sweep" in capsys.readouterr().err
+
+
+def test_controlled_rotate_sweep_at_the_case_cap_reaches_the_verifier(monkeypatch, no_builders, capsys):
+    # 2^25 draws of the controlled rotate check 2^26 states, the cap itself
+    calls = []
+
+    def stub(width, **sweep):
+        calls.append((width, sweep))
+        return sim.VerifyReport(ok=True, checked=2 * sweep["count"], mode="random", seed=sweep["seed"])
+
+    monkeypatch.setattr(sim, "verify_rotate", stub)
+    assert main(["verify", "cror", "--width", "2", "--random", str(2**25), "--seed", "3"]) == 0
+    assert calls == [(2, {"controlled": True, "mode": "random", "count": 2**25, "seed": 3})]
+    assert f"checked={2**26} ok" in capsys.readouterr().out
 
 
 def test_random_sweep_limit_is_the_largest_exhaustive_sweep(no_builders, capsys):

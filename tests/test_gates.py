@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +82,29 @@ def test_lines_stored_as_tuple():
     gate = Gate(TOFFOLI, [0, 1, 2])
     assert gate.lines == (0, 1, 2) and type(gate.lines) is tuple
     assert gate == Gate(TOFFOLI, (0, 1, 2)) and hash(gate) == hash(Gate(TOFFOLI, (0, 1, 2)))
+
+
+_Triple = namedtuple("_Triple", "a b c")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: [2, 3, 4], lambda: range(2, 5), lambda: (i for i in (2, 3, 4)), lambda: _Triple(2, 3, 4)],
+    ids=["list", "range", "generator", "namedtuple"],
+)
+def test_lines_of_any_iterable_stored_as_plain_tuple(make):
+    gate = Gate(FREDKIN, make())
+    assert type(gate.lines) is tuple and gate.lines == tuple(make()) == (2, 3, 4)
+
+
+def test_unhashable_kind_raises_type_error():
+    with pytest.raises(TypeError):
+        Gate([], (0, 1))
+
+
+def test_too_many_lines_from_a_list():
+    with pytest.raises(ValueError, match=r"^swap takes 2 lines, got 4$"):
+        Gate(SWAP, [0, 1, 2, 3])
 
 
 def test_gate_is_frozen():
