@@ -202,8 +202,9 @@ def cmd_verify(args) -> int:
         mode, count = ("exhaustive", 0) if size <= block.exhaustive_up_to else ("random", 1000)
     gates, cases = block.gates(size), count * block.cases_per_draw
     if cases > MAX_RANDOM_CASES or cases * gates > MAX_RANDOM_WORK:
+        drawn = f" ({cases} cases, {block.cases_per_draw} per {args.block} draw)" if cases > count else ""
         raise ValueError(
-            f"--random {count} on a {gates}-gate circuit exceeds the largest exhaustive sweep: "
+            f"--random {count}{drawn} on a {gates}-gate circuit exceeds the largest exhaustive sweep: "
             f"at most {MAX_RANDOM_CASES} cases and {MAX_RANDOM_WORK} cases x gates"
         )
     seed = args.seed

@@ -15,15 +15,16 @@ Both verifiers share one sweep, `_sweep`, which packs each batch of cases
 into one `run` call: a batch gets the largest power of two of lanes whose
 lane ints, one per line, fit in BATCH_BITS bits; the registers of each
 verifier's `drive`, read off the circuit's layout, alone say which bit of a
-case's index each line carries. The references are
-bit-sliced too: each verifier computes the wanted exit state of a whole batch
-on the same lane ints (for the multiplier, a schoolbook product, which reads
-no schedule, cross-checked against `_lane_add_and_rotate`, which runs the
-`synth._schedule` the builder stamps and whose one-lane case is
-`oracle_multiply`), so a sweep does no Python work per case, and an
-exhaustive sweep does not even build its cases one by one. Nor does a seeded
-multiplier sweep at n <= 31 on CPython: `_word_pair_batches` reads its pairs
-from the generator's 32-bit words in bulk, the pairs `randrange` would draw.
+case's index each line carries. The references are bit-sliced too: each
+verifier computes the wanted exit state of a whole batch on the same lane
+ints (for the multiplier, a schoolbook product, which reads no schedule,
+cross-checked against `_lane_add_and_rotate`, which runs the
+`synth._schedule` the builder stamps, reading every line from the steps,
+and whose one-lane case is `oracle_multiply`), so a sweep does no Python
+work per case, and an exhaustive sweep does not even build its cases one by
+one. Nor does a seeded multiplier sweep at n <= 31 on CPython:
+`_word_pair_batches` reads its pairs from the generator's 32-bit words in
+bulk, the pairs `randrange` would draw.
 """
 
 import itertools
@@ -188,15 +189,16 @@ def _lane_product(a: list[int], b: list[int]) -> list[int]:
 def _lane_add_and_rotate(layout: RegisterLayout, state: list[int]) -> list[int]:
     """The add-and-rotate recurrence on a lane-packed entry state of the
     product over `layout`: its `_schedule`, run on one lane int per line,
-    with each window's top line asserted clear. Returns the exit state."""
+    with each window's top line checked clear. Returns the exit state."""
     v = list(state)
-    b = v[layout["B"].start : layout["B"].end]
-    for kind, _, *control, lines in _schedule(layout):
+    for kind, _, control, lines in _schedule(layout):
         if kind == ADDNOP:
-            assert not v[lines[-1]], "window overflow: carry slot was not clear"
-            _ripple_add(v, lines.start, v[control[0]], b)
-        else:
-            v.insert(lines.stop - 1, v.pop(lines.start))
+            b, window, _ = lines
+            if v[window[-1]]:
+                raise AssertionError("window overflow: carry slot was not clear")
+            _ripple_add(v, window.start, v[control], v[b.start : b.stop])
+        else:  # a rotate right of its one range
+            v.insert(lines[0].stop - 1, v.pop(lines[0].start))
     return v
 
 

@@ -141,43 +141,47 @@ def build_controlled_ror(width: int) -> Circuit:
 
 
 def _schedule(layout: RegisterLayout) -> list[tuple]:
-    """The product's steps over `layout` in circuit order: for each m,
-    (ADDNOP, m, A[m]'s line, P's top B.size+1 lines), then, but after the
-    last, (ROR, m, P's lines). Lines are ranges, so a step hashes in O(1)."""
-    a, p = layout["A"], layout["P"].lines
-    window = p[-(layout["B"].size + 1):]
+    """The product's steps over `layout` in circuit order, each (kind, m,
+    control, lines), `lines` the stage generator's other arguments: for each
+    m, (ADDNOP, m, A[m]'s line, (B's lines, P's top B.size+1 lines, Zcin's
+    line)), then, but after the last, (ROR, m, None, (P's lines,)). A
+    register's lines are a range, so a step hashes in O(1)."""
+    a, b, p, z = (layout[name] for name in ("A", "B", "P", "Zcin"))
+    adder, rotate = (b.lines, p.lines[-(b.size + 1):], z.start), (p.lines,)
     steps = []
     for m in range(a.size):
-        steps += [(ADDNOP, m, a.line(m), window), (ROR, m, p)]
+        steps += [(ADDNOP, m, a.line(m), adder), (ROR, m, None, rotate)]
     return steps[:-1]  # no rotate after the last ADD/NOP
 
 
 def _product(layout: RegisterLayout) -> Circuit:
     """The product over `layout`: each step of `_schedule` is generated if
-    it is the first of its kind and lines, else stamped from that first one.
-    An ADD/NOP differs from its template only in the first line of each
-    Toffoli, its control A[m], and no other gate touches an A line, so each
-    copy keeps the template's range and stage disjointness. A template's
-    columns are made when a step first reuses it, so the ADD/NOP makes none."""
-    b, z = list(layout["B"].lines), layout["Zcin"].start
+    it is the first of its kind and lines, else stamped from that first one
+    by its control slots: each gate that holds the template's control holds
+    the step's control there instead. A control is a line that no gate of
+    its step touches but in those slots, so each copy keeps the template's
+    range and stage disjointness. A template's columns are made when a step
+    first reuses it, so the ADD/NOP makes none."""
     circ, spans, columns = Circuit(layout), {}, {}
     gates, marks = circ.gates, circ.stage_marks
-    for kind, _, *control, lines in _schedule(layout):
+    for kind, _, control, lines in _schedule(layout):
         key, start, first = (kind, lines), len(gates), len(marks)
         if key not in spans:  # the first of its kind and lines
-            stages = _addnop_stages(*control, b, [*lines], z) if kind == ADDNOP else _ror_stages([*lines])
-            spans[key] = start, first, len(_add_stages(circ, stages).stage_marks)
+            args = [[*arg] if isinstance(arg, range) else arg for arg in lines]
+            stages = _addnop_stages(control, *args) if kind == ADDNOP else _ror_stages(*args)
+            spans[key] = control, start, first, len(_add_stages(circ, stages).stage_marks)
             continue
         if key not in columns:  # made when a step first reuses the template
-            origin, first, last = spans[key]
+            held, origin, first, last = spans[key]  # the template's control
             block = gates[origin : marks[last - 1]]
-            toffolis = [(i, g.lines[1:]) for i, g in enumerate(block) if g.kind == TOFFOLI]
+            slots = [(i, g.lines[:j], g.lines[j + 1 :]) for i, g in enumerate(block)
+                     for j, line in enumerate(g.lines) if line == held]
             block_marks = [mark - origin for mark in marks[first:last]]
-            columns[key] = [g.kind for g in block], [g.lines for g in block], toffolis, block_marks
-        kinds, gate_lines, toffolis, block_marks = columns[key]
-        control = tuple(control)
-        for i, tail in toffolis:
-            gate_lines[i] = control + tail
+            columns[key] = [g.kind for g in block], [g.lines for g in block], slots, block_marks
+        kinds, gate_lines, slots, block_marks = columns[key]
+        control = (control,)
+        for i, head, tail in slots:
+            gate_lines[i] = head + control + tail
         gates.extend(map(Gate, kinds, gate_lines))
         marks.extend([start + mark for mark in block_marks])
     return circ

@@ -117,6 +117,29 @@ def test_oversized_random_sweep_refused_before_building(argv, no_builders, capsy
     assert "exceeds the largest exhaustive sweep" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, sweep",
+    [
+        # a cror draw checks one value under both values of the control
+        (["cror", "--width", "2", "--random", str(2**25 + 1)],
+         "--random 33554433 (67108866 cases, 2 per cror draw) on a 1-gate circuit"),
+        (["cror", "--width", "1000", "--random", "33300000"],
+         "--random 33300000 (66600000 cases, 2 per cror draw) on a 999-gate circuit"),
+        # a mul or ror draw is one case
+        (["ror", "--width", "2", "--random", str(2**26 + 1)], "--random 67108865 on a 1-gate circuit"),
+        (["mul", "--n", "418", "--random", "63361"], "--random 63361 on a 1047509-gate circuit"),
+    ],
+    ids=["cror-2", "cror-1000", "ror-2", "mul-418"],
+)
+def test_oversized_random_sweep_message_counts_the_cases(argv, sweep, no_builders, capsys):
+    assert main(["verify", *argv]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: {sweep} exceeds the largest exhaustive sweep: "
+        f"at most {2**26} cases and {2**26 * 989} cases x gates\n",
+    )
+
+
 def test_controlled_rotate_sweep_at_the_case_cap_reaches_the_verifier(monkeypatch, no_builders, capsys):
     # 2^25 draws of the controlled rotate check 2^26 states, the cap itself
     calls = []

@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 from revmul import (
+    VerifyReport,
     build_addnop,
     build_controlled_ror,
     build_multiplier,
@@ -12,9 +13,11 @@ from revmul import (
     register_value,
     run,
     structural_metrics,
+    verify_multiplier,
 )
+from revmul import synth
 from revmul.circuit import Circuit
-from revmul.gates import FREDKIN, SWAP, TOFFOLI, Gate
+from revmul.gates import CNOT, FREDKIN, SWAP, TOFFOLI, Gate
 from revmul.io import write_netlist
 from revmul.analysis import formula_metrics
 from revmul.synth import (ADDNOP, ROR, _addnop_stages, _product_layout, _ror_stages, _schedule,
@@ -227,8 +230,9 @@ def schedule_spans(n):
     circ = build_multiplier(n)
     spans, gate, stage = [], 0, 0
     for step in _schedule(circ.layout):
-        k = len(step[-1])
-        gates, stages = (4 * k - 3, 3 * k - 1) if step[0] == ADDNOP else (k - 1, 2 if k > 2 else 1)
+        kind, _, _, lines = step
+        k = len(lines[1] if kind == ADDNOP else lines[0])  # the window, or the rotated lines
+        gates, stages = (4 * k - 3, 3 * k - 1) if kind == ADDNOP else (k - 1, 2 if k > 2 else 1)
         spans.append((step, range(gate, gate + gates), range(stage, stage + stages)))
         gate, stage = gate + gates, stage + stages
     return circ, spans
@@ -241,12 +245,12 @@ def test_carry_slot_clear_at_every_adder_entry(n):
     circ, spans = schedule_spans(n)
     layout = circ.layout
     entries = []  # each adder's top window line and the gates before its entry
-    for (kind, *_, window), gates, _ in spans:
+    for (kind, *_, lines), gates, _ in spans:
         if kind == ADDNOP:
             prefix = Circuit(layout)
             for gate in circ.gates[: gates.start]:
                 prefix.append(gate)
-            entries.append((window[-1], prefix))
+            entries.append((lines[1][-1], prefix))  # the window's top line
     assert len(entries) == n
 
     for a, b in itertools.product(range(1 << n), repeat=2):
@@ -266,7 +270,7 @@ def test_schedule_tiles_the_built_multiplier(n):
     assert [i for _, gates, _ in spans for i in gates] == list(range(len(circ.gates)))
     assert [i for _, _, stages in spans for i in stages] == list(range(len(circ.stage_marks)))
     assert spans[-1][1].stop == formula_metrics("mul", n).gate_count
-    for (kind, m, *control, lines), gates, stages in spans:
+    for (kind, m, control, lines), gates, stages in spans:
         assert circ.stage_marks[stages[-1]] == gates.stop, (kind, m)  # the step ends on a mark
         block = circ.gates[gates.start:gates.stop]
         touched = {line for g in block for line in g.lines}
@@ -277,11 +281,13 @@ def test_schedule_tiles_the_built_multiplier(n):
             assert len(toffolis) == 2 * n + 1 and len(fredkins) == 2 * n, (kind, m)
             assert all(g.lines[0] == a.line(m) for g in toffolis), (kind, m)
             assert not any(line in a.lines for g in fredkins for line in g.lines), (kind, m)
-            assert touched == {*control, *b.lines, *lines, z.start}, (kind, m)
+            operand, window, carry = lines
+            assert operand == b.lines and carry == z.start, (kind, m)
+            assert touched == {control, *b.lines, *window, z.start}, (kind, m)
         else:
             assert len(block) == 2 * n - 1 and len(stages) == 2, (kind, m)
             assert all(g.kind == SWAP and all(line in p.lines for line in g.lines) for g in block), (kind, m)
-            assert touched == set(lines), (kind, m)
+            assert control is None and touched == set(*lines), (kind, m)
 
 
 def test_multiplier_stage_count():
@@ -304,11 +310,11 @@ def checked(layout, stages):
 
 def reference_multiplier(layout):
     """The product over `layout` emitted step by step from its schedule
-    through the checked path."""
-    b, z = layout["B"].lines, layout["Zcin"].start
+    through the checked path, each ADD/NOP by the `synth._addnop_stages` in
+    place at the call."""
     stages = []
-    for kind, _, *control, lines in _schedule(layout):
-        stages += _addnop_stages(*control, b, lines, z) if kind == ADDNOP else _ror_stages(lines)
+    for kind, _, control, lines in _schedule(layout):
+        stages += synth._addnop_stages(control, *lines) if kind == ADDNOP else _ror_stages(*lines)
     return checked(layout, stages)
 
 
@@ -325,6 +331,47 @@ def test_multiplier_equals_checked_block_by_block_build(block, n):
     # layout, every gate and every stage mark
     build, layout = PRODUCTS[block]
     assert build(n) == reference_multiplier(layout(n))
+
+
+def toffoli_controls_swapped(a, b, w, z):
+    """The paper's ADD/NOP with the two controls of every Toffoli swapped:
+    the block's control is the second line of each gate that reads it."""
+    return [
+        [Gate(TOFFOLI, (g.lines[1], g.lines[0], g.lines[2])) if g.kind == TOFFOLI else g for g in stage]
+        for stage in _addnop_stages(a, b, w, z)
+    ]
+
+
+def controlled_cdkm(x, b, w, z):
+    """The ripple-carry adder of Cuccaro, Draper, Kutin and Petrie Moulton
+    (quant-ph/0410184) made controlled by x, one gate per stage: MAJ up the
+    chain with the carries on b (its Toffolis do not read x), the carry out
+    onto w[n] under x, then a controlled UMA down. Adds x * b into w."""
+    n = len(b)
+    carry_in = [z, *b[:-1]]  # after position i-1's MAJ, b[i-1] holds its carry out
+    gates = []
+    for i in range(n):
+        c = carry_in[i]
+        gates += [Gate(CNOT, (b[i], w[i])), Gate(CNOT, (b[i], c)), Gate(TOFFOLI, (c, w[i], b[i]))]
+    gates.append(Gate(TOFFOLI, (x, b[n - 1], w[n])))
+    for i in reversed(range(n)):
+        c = carry_in[i]
+        gates += [Gate(TOFFOLI, (c, w[i], b[i])), Gate(CNOT, (b[i], w[i])),
+                  Gate(TOFFOLI, (x, c, w[i])), Gate(CNOT, (b[i], c))]
+    return [[g] for g in gates]
+
+
+@pytest.mark.parametrize("adder", [toffoli_controls_swapped, controlled_cdkm], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("n", range(1, 6))
+def test_product_stamps_any_adder_by_its_control_slots(adder, n, monkeypatch):
+    # a reused template is stamped wherever its gates hold its control, in
+    # any slot, and only there, whatever the gate kinds
+    monkeypatch.setattr(synth, "_addnop_stages", adder)
+    circuit = build_multiplier(n)
+    assert circuit == reference_multiplier(circuit.layout)
+    assert verify_multiplier(n, circuit=circuit) == VerifyReport(
+        ok=True, checked=4**n, mode="exhaustive", garbage_outputs=0
+    )
 
 
 def test_multiplier_gates_are_distinct_objects():
