@@ -7,7 +7,7 @@ the rotates of its n+m product lines) at m = 1 and at m = n:
     m x n               QC = m(20n+5)+3s  AI = n+m+1  delay = m(15n+10)+6(m-1)  gates = m(4n+1)+s
     ADD/NOP (m = 1)     QC = 20n+5        AI = n+2    delay = 15n+10        gates = 4n+1
     multiplier (m = n)  QC = 26n^2-4n+3   AI = 2n+1   delay = 15n^2+16n-6   gates = 6n^2-2n+1
-    ROR (2n lines)      QC = 6n-3         AI = 0      delay = 6             gates = 2n-1
+    ROR (2n lines)      QC = 6n-3         AI = 0      delay = 6 (n = 1: 3)  gates = 2n-1
 
 check_formulas() proves the generators reproduce these exactly. The ancilla
 and garbage tables compare our counts against two published N x N reversible
@@ -68,8 +68,7 @@ REPORTED_TOLERANCE = 0.02
 def formula_metrics(block: str, n: int) -> Metrics:
     """Closed-form Metrics for a block at operand width n.
 
-    The ROR forms are for a rotate over 2n lines, as used by the multiplier;
-    its delay form (6) is the two-layer figure, valid from width 3 up.
+    The ROR forms are for a rotate over 2n lines, as used by the multiplier.
     asap_depth is a measured quantity and stays None here.
     """
     if n < 1:
@@ -93,7 +92,7 @@ def formula_metrics(block: str, n: int) -> Metrics:
             gate_count=2 * n - 1,
             quantum_cost=6 * n - 3,
             ancilla_inputs=0,
-            staged_delay=6,
+            staged_delay=6 if n > 1 else 3,
         )
     raise ValueError(f"unknown block kind {block!r}")
 

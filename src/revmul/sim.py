@@ -24,7 +24,8 @@ and whose one-lane case is `oracle_multiply`), so a sweep does no Python
 work per case, and an exhaustive sweep does not even build its cases one by
 one. Nor does a seeded multiplier sweep at n <= 31 on CPython:
 `_word_pair_batches` reads its pairs from the generator's 32-bit words in
-bulk, the pairs `randrange` would draw.
+bulk, the pairs `randrange` would draw. `_lane_add_and_rotate` is exact: from
+any entry with Zcin 0 (any A, B and P) it gives the circuit's exit state.
 """
 
 import itertools
@@ -146,20 +147,16 @@ def oracle_rotate_right(bits: list[int]) -> list[int]:
 
 
 def oracle_multiply(n: int, a: int, b: int) -> int:
-    """Register-level add-and-rotate product of two n-bit integers.
-
-    This is the behavioral model the gate-level multiplier is checked
-    against: the one-lane case of `_lane_add_and_rotate`, which the verifier
-    runs bit-sliced. It must agree with native integer multiplication
-    everywhere.
+    """Register-level add-and-rotate product of two n-bit integers: the
+    one-lane case of `_lane_add_and_rotate`, the model the verifier runs
+    bit-sliced against the gate-level multiplier. It must agree with native
+    integer multiplication everywhere.
     """
-    if n < 1:
-        raise ValueError(f"operand width must be >= 1, got {n}")
+    layout = multiplier_layout(n)
     if not 0 <= a < (1 << n):
         raise ValueError(f"operand a={a} out of range for {n} bits")
     if not 0 <= b < (1 << n):
         raise ValueError(f"operand b={b} out of range for {n} bits")
-    layout = multiplier_layout(n)
     exit_state = _lane_add_and_rotate(layout, pack_state(layout, {"A": a, "B": b}))
     return register_value(layout, exit_state, "P")
 
@@ -187,15 +184,15 @@ def _lane_product(a: list[int], b: list[int]) -> list[int]:
 
 
 def _lane_add_and_rotate(layout: RegisterLayout, state: list[int]) -> list[int]:
-    """The add-and-rotate recurrence on a lane-packed entry state of the
-    product over `layout`: its `_schedule`, run on one lane int per line,
-    with each window's top line checked clear. Returns the exit state."""
+    """The add-and-rotate recurrence of the product over `layout`: its
+    `_schedule`, run on one lane int per line. From any lane-packed entry state
+    with Zcin 0, whatever A, B and P hold, it returns the built product's exit
+    state: each add XORs its carry out into its window's top line, as the
+    ADD/NOP's last Toffoli does."""
     v = list(state)
     for kind, _, control, lines in _schedule(layout):
         if kind == ADDNOP:
             b, window, _ = lines
-            if v[window[-1]]:
-                raise AssertionError("window overflow: carry slot was not clear")
             _ripple_add(v, window.start, v[control], v[b.start : b.stop])
         else:  # a rotate right of its one range
             v.insert(lines[0].stop - 1, v.pop(lines[0].start))

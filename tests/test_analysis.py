@@ -26,7 +26,7 @@ from revmul.analysis import (
     flag_deviations,
 )
 from revmul.gates import FREDKIN, SWAP, TOFFOLI
-from revmul.synth import build_addnop, build_multiplier
+from revmul.synth import build_addnop, build_multiplier, build_ror
 
 
 # ---------------------------------------------------------------- closed forms
@@ -69,11 +69,19 @@ def test_check_formulas_small_range():
     assert report.checked == 15 * 3
 
 
-@pytest.mark.parametrize("block, build", [("addnop", build_addnop), ("mul", build_multiplier)])
+@pytest.mark.parametrize(
+    "block, build",
+    [
+        ("addnop", build_addnop),
+        ("mul", build_multiplier),
+        pytest.param("ror", lambda n: build_ror(2 * n), id="ror-build_ror"),
+    ],
+)
 def test_product_forms_equal_the_built_blocks_at_n1(block, build):
     # check_formulas starts at n = 2. At n = 1 neither product block has a
     # rotate, so its form lists no swap count, as the built block's metrics
-    # list only the kinds it holds.
+    # list only the kinds it holds. The rotate over 2n = 2 lines is its one
+    # swap, a staged delay of 3 where every wider rotate has 6.
     built = dataclasses.replace(structural_metrics(build(1)), asap_depth=None)
     assert formula_metrics(block, 1) == built
 

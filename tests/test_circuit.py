@@ -2,7 +2,7 @@ import pytest
 
 from revmul import CNOT, SWAP, TOFFOLI, Circuit, Register, RegisterLayout
 from revmul.gates import Gate
-from revmul.synth import multiplier_layout
+from revmul.synth import build_multiplier, multiplier_layout
 
 
 def n2_layout():
@@ -52,6 +52,12 @@ def test_register_bit_lookup():
         layout["P"].line(4)
     with pytest.raises(KeyError):
         layout["Q"]
+
+
+def test_layout_contains_its_register_names():
+    layout = build_multiplier(3).layout
+    assert "P" in layout
+    assert "Q" not in layout
 
 
 def test_append_counts_gates():

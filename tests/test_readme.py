@@ -1,5 +1,6 @@
-"""The README's Library and Command line sections run as written, and the
-Library section names only public names."""
+"""The README's Library and Command line sections run as written, the
+Library section names only public names, and its resource table states the
+closed forms of `formula_metrics`."""
 
 import ast
 import re
@@ -7,6 +8,7 @@ import shlex
 from pathlib import Path
 
 import revmul
+from revmul import formula_metrics
 from revmul.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -38,6 +40,25 @@ def test_library_paragraph_names_public_functions():
     names = re.findall(r"`(\w+)(?:\([^`]*\))?`", paragraph)
     assert "structural_metrics" in names and "oracle_rotate_right" in names
     assert [name for name in names if name not in revmul.__all__] == []
+
+
+def test_resource_table_states_the_closed_forms():
+    # Each cell is a polynomial in n, "26n^2-4n+3" read as 26*n**2-4*n+3. The
+    # ROR row's delay, 6, holds from n = 2 up; the line above the table gives
+    # the 2-line rotate's 3.
+    table = LIBRARY.split("Resource accounting", 1)[1].split("\n\n")[1].splitlines()
+    header = [cell.strip() for cell in table[0].strip("|").split("|")]
+    assert header == ["block", "quantum cost", "ancilla", "staged delay", "gates"]
+    fields = ["quantum_cost", "ancilla_inputs", "staged_delay", "gate_count"]
+    blocks = {"ADD/NOP": "addnop", "ROR": "ror", "multiplier": "mul"}
+    rows = [[cell.strip() for cell in row.strip("|").split("|")] for row in table[2:]]
+    assert [row[0] for row in rows] == list(blocks)
+    for name, *cells in rows:
+        forms = [re.sub(r"(\d)n", r"\1*n", cell).replace("^", "**") for cell in cells]
+        for n in range(2, 17):
+            want = formula_metrics(blocks[name], n)
+            got = [eval(form, {"n": n}) for form in forms]
+            assert got == [getattr(want, field) for field in fields], (name, n)
 
 
 def test_command_line_block_runs_in_order(tmp_path, monkeypatch, capsys):

@@ -999,19 +999,37 @@ def test_model_runs_from_any_entry_state(n):
     # P entering c * 2^(n-1) exits holding a * b + c for every c <= 2^n (the
     # multiply-accumulate), with A and B unchanged and Zcin 0, all (a, b, c)
     # in one bit-sliced batch. The model runs from the same entry state and
-    # gives the same exit state for c < 2^n, the lanes in `low`; at
-    # c = 2^n the top window line enters 1, which its carry assertion refuses.
+    # gives the same exit state on every lane, c = 2^n included, where the
+    # top line of block 0's window enters 1.
     circuit = build_multiplier(n)
     triples = [(a, b, c) for c in range((1 << n) + 1) for a in range(1 << n) for b in range(1 << n)]
     assert len(triples) == {1: 12, 2: 80, 3: 576, 4: 4352}[n]
     entry = pack_lanes([a | b << n | c << 3 * n - 1 for a, b, c in triples], circuit.width)
     out = run(circuit, entry)
     assert unpack_lanes(out, len(triples)) == [a | b << n | (a * b + c) << 2 * n for a, b, c in triples]
-    low = (1 << (1 << 3 * n)) - 1  # the first 2^(3n) lanes, those with c < 2^n
-    model = sim._lane_add_and_rotate(circuit.layout, [line & low for line in entry])
-    assert model == [line & low for line in out]
-    with pytest.raises(AssertionError, match="carry slot was not clear"):
-        sim._lane_add_and_rotate(circuit.layout, entry)
+    assert sim._lane_add_and_rotate(circuit.layout, entry) == out
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_model_equals_the_circuit_from_every_entry_with_zcin_clear(n):
+    # All 2^(4n) entry states with Zcin 0, any A, B and P, in one batch:
+    # lane k holds the entry whose lines 0..4n-1 are the bits of k.
+    circuit = build_multiplier(n)
+    bits = 4 * n
+    entry = [int(("1" * (1 << i) + "0" * (1 << i)) * (1 << (bits - i - 1)), 2) for i in range(bits)]
+    assert unpack_lanes(entry, 16) == list(range(16))
+    entry.append(0)  # Zcin
+    assert sim._lane_add_and_rotate(circuit.layout, entry) == run(circuit, entry)
+
+
+@pytest.mark.parametrize("n", [8, 16, 33, 64])
+def test_model_equals_the_circuit_from_random_entries_with_zcin_clear(n):
+    # 4,096 seeded random entry states with Zcin 0: every A, B and P line
+    # holds 4,096 random lane bits.
+    circuit = build_multiplier(n)
+    rng = random.Random(n)
+    entry = [rng.getrandbits(4096) for _ in range(4 * n)] + [0]
+    assert sim._lane_add_and_rotate(circuit.layout, entry) == run(circuit, entry)
 
 
 @pytest.mark.parametrize(
