@@ -6,8 +6,8 @@ would exceed MAX_GATES) and on running out of memory.
 
 `main(argv)` may be called many times in one process: it builds its parser on
 the first call, not at import, and reuses it. While a command runs it lifts
-Python's int-digit limit and pauses the garbage collector: a command makes one
-Gate per gate but no reference cycle that grows with them, so scans free nothing.
+Python's int-digit limit and pauses the garbage collector: a command makes at most
+one Gate per gate but no reference cycle that grows with them, so scans free nothing.
 """
 
 import argparse
@@ -38,13 +38,13 @@ _Block = namedtuple(
 _BLOCKS = {
     "mul": _Block("n", lambda n: analysis.formula_metrics(analysis.MULTIPLIER, n).gate_count,
                   lambda n: synth.build_multiplier(n),
-                  5, "pairs", lambda n, **sweep: sim.verify_multiplier(n, **sweep)),
+                  10, "pairs", lambda n, **sweep: sim.verify_multiplier(n, **sweep)),
     "addnop": _Block("n", lambda n: analysis.formula_metrics(analysis.ADDNOP, n).gate_count,
                      lambda n: synth.build_addnop(n)),
     "ror": _Block("width", lambda w: w - 1, lambda w: synth.build_ror(w),
-                  12, "states", lambda w, **sweep: sim.verify_rotate(w, **sweep)),
+                  22, "states", lambda w, **sweep: sim.verify_rotate(w, **sweep)),
     "cror": _Block("width", lambda w: w - 1, lambda w: synth.build_controlled_ror(w),
-                   12, "states", lambda w, **sweep: sim.verify_rotate(w, controlled=True, **sweep), 2),
+                   22, "states", lambda w, **sweep: sim.verify_rotate(w, controlled=True, **sweep), 2),
 }
 
 # Largest circuit `build` and `verify` will construct, in gates, and the most

@@ -26,6 +26,9 @@ one. Nor does a seeded multiplier sweep at n <= 31 on CPython:
 `_word_pair_batches` reads its pairs from the generator's 32-bit words in
 bulk, the pairs `randrange` would draw. `_lane_add_and_rotate` is exact: from
 any entry with Zcin 0 (any A, B and P) it gives the circuit's exit state.
+`verify_multiplier` builds through `synth._shared_multiplier`, equal to
+`build_multiplier(n)`, whose stamped blocks construct only the gates that
+hold their multiplier qubit and reuse the template's Gates for the rest.
 """
 
 import itertools
@@ -38,7 +41,7 @@ from functools import reduce
 
 from .circuit import _MAX_SHOWN_CHARS, Circuit, RegisterLayout, _shown
 from .gates import FREDKIN, SWAP, TOFFOLI
-from .synth import (ADDNOP, _schedule, build_controlled_ror, build_multiplier, build_ror,
+from .synth import (ADDNOP, _schedule, _shared_multiplier, build_controlled_ror, build_ror,
                     multiplier_layout)
 
 MAX_COUNTEREXAMPLES = 16
@@ -363,16 +366,17 @@ def verify_multiplier(
     sweeps all 2^(2n) pairs and is limited to n <= EXHAUSTIVE_MULTIPLIER_LIMIT
     (13); random mode checks the `count` pairs that two `randrange(2^n)` calls
     per pair draw from `random.Random(seed)`, taken from its words in bulk for
-    n <= _WORD_DRAW_LIMIT (31 on CPython). Pass `circuit` to point the
-    harness at a replacement netlist (for example a deliberately damaged one)
-    over the n-bit multiplier's layout.
+    n <= _WORD_DRAW_LIMIT (31 on CPython). Without `circuit` it checks
+    `synth._shared_multiplier(n)`, equal to `build_multiplier(n)`. Pass
+    `circuit` to point the harness at a replacement netlist (for example a
+    deliberately damaged one) over the n-bit multiplier's layout.
     """
     if circuit is not None and circuit.layout != multiplier_layout(n):
         raise ValueError(f"circuit layout {circuit.layout!r} is not the n={n} multiplier's")
     limit = EXHAUSTIVE_MULTIPLIER_LIMIT
     _check_sweep(mode, count, n > limit, f"exhaustive verification is limited to n <= {limit}")
     if circuit is None:
-        circuit = build_multiplier(n)
+        circuit = _shared_multiplier(n)
     layout = circuit.layout
     a_reg, b_reg, p_reg = (layout[name] for name in ("A", "B", "P"))
 

@@ -63,7 +63,8 @@ def no_builders(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a builder ran")
 
-    for name in ("build_multiplier", "build_addnop", "build_ror", "build_controlled_ror"):
+    for name in ("build_multiplier", "_shared_multiplier", "build_addnop", "build_ror",
+                 "build_controlled_ror"):
         for module in (synth, sim):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
@@ -571,8 +572,11 @@ def test_verify_ror_exhaustive(capsys):
 def test_verify_default_modes(capsys):
     assert main(["verify", "mul", "--n", "3"]) == 0
     assert "mode=exhaustive" in capsys.readouterr().out
-    assert main(["verify", "mul", "--n", "6"]) == 0
-    assert "mode=random" in capsys.readouterr().out
+    # exhaustive up to each block's default limit, 1,000 random draws above it
+    for block, flag, limit in (("mul", "--n", 10), ("ror", "--width", 22), ("cror", "--width", 22)):
+        for size, mode in ((limit, "mode=exhaustive"), (limit + 1, "mode=random seed=0")):
+            assert main(["verify", block, flag, str(size)]) == 0
+            assert mode in capsys.readouterr().out
 
 
 def test_verify_exhaustive_cap_is_usage_error(capsys):

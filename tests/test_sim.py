@@ -273,7 +273,7 @@ def test_verify_checks_arguments_before_building(monkeypatch):
     def refuse(*args):
         raise AssertionError("a circuit was built before the arguments were checked")
 
-    for name in ("build_multiplier", "build_ror", "build_controlled_ror"):
+    for name in ("_shared_multiplier", "build_ror", "build_controlled_ror"):
         monkeypatch.setattr(sim, name, refuse)
     verifiers = (
         (verify_multiplier, 14),
@@ -325,7 +325,7 @@ def test_verify_builds_the_multiplier_layout_once_per_call(monkeypatch, given):
     # the counterexamples read their registers off one layout, not one each
     circuit = Circuit(multiplier_layout(3)) if given else None
     if not given:
-        monkeypatch.setattr(sim, "build_multiplier", lambda n: Circuit(multiplier_layout(n)))
+        monkeypatch.setattr(sim, "_shared_multiplier", lambda n: Circuit(multiplier_layout(n)))
     want = verify_multiplier(3, circuit=circuit)
     calls = []
     monkeypatch.setattr(sim, "multiplier_layout", lambda n: calls.append(n) or multiplier_layout(n))

@@ -21,7 +21,7 @@ from revmul.gates import CNOT, FREDKIN, SWAP, TOFFOLI, Gate
 from revmul.io import write_netlist
 from revmul.analysis import formula_metrics
 from revmul.synth import (ADDNOP, ROR, _addnop_stages, _product_layout, _ror_stages, _schedule,
-                          multiplier_layout)
+                          _shared_multiplier, multiplier_layout)
 
 
 # ---------------------------------------------------------------- ADD/NOP
@@ -369,6 +369,7 @@ def test_product_stamps_any_adder_by_its_control_slots(adder, n, monkeypatch):
     monkeypatch.setattr(synth, "_addnop_stages", adder)
     circuit = build_multiplier(n)
     assert circuit == reference_multiplier(circuit.layout)
+    assert _shared_multiplier(n) == circuit
     assert verify_multiplier(n, circuit=circuit) == VerifyReport(
         ok=True, checked=4**n, mode="exhaustive", garbage_outputs=0
     )
@@ -379,7 +380,8 @@ def test_multiplier_gates_are_distinct_objects():
     assert len({id(g) for g in gates}) == len(gates)
 
 
-def assert_constructs_each_gate_once(build, size, monkeypatch):
+def counted_build(build, size, monkeypatch):
+    """`build(size)` and the number of Gate constructions it made."""
     calls = 0
     checked_init = Gate.__init__
 
@@ -390,6 +392,11 @@ def assert_constructs_each_gate_once(build, size, monkeypatch):
 
     monkeypatch.setattr(Gate, "__init__", counting_init)
     circuit = build(size)
+    return circuit, calls
+
+
+def assert_constructs_each_gate_once(build, size, monkeypatch):
+    circuit, calls = counted_build(build, size, monkeypatch)
     assert calls == len(circuit.gates), (
         f"{build.__name__}({size}): {calls} Gate constructions for {len(circuit.gates)} gates; "
         "every emitted gate must be constructed, and so checked, exactly once"
@@ -399,6 +406,23 @@ def assert_constructs_each_gate_once(build, size, monkeypatch):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_multiplier_constructs_each_gate_once(n, monkeypatch):
     assert_constructs_each_gate_once(build_multiplier, n, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 64])
+def test_shared_multiplier_equals_the_built_one(n):
+    # layout, kinds, lines and stage marks
+    assert _shared_multiplier(n) == build_multiplier(n)
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), 32])
+def test_shared_multiplier_constructs_each_distinct_gate_once(n, monkeypatch):
+    # every gate is a checked Gate, made once and reused by each block that
+    # does not put its multiplier qubit in it: the first ADD/NOP's 4n+1 and
+    # the first rotate's 2n-1, then 2n+1 Toffolis per later ADD/NOP
+    circuit, calls = counted_build(_shared_multiplier, n, monkeypatch)
+    assert calls == len({id(gate) for gate in circuit.gates})
+    assert calls == (5 if n == 1 else 2 * n * n + 5 * n - 1)
+    assert all(type(gate) is Gate for gate in circuit.gates)
 
 
 @pytest.mark.parametrize(
